@@ -17,7 +17,7 @@ import sys
 from .core import Convention, Overpartition, conjugate, largest_repeating_size, \
     max_excludant_size, min_excludant_size, smallest_positive_repeating_size
 from .enumeration import ClassTag, basis_elements, enumerate_class, overpartitions_of
-from .identities import IDENTITIES, IDENTITY_IDS, verify
+from .identities import IDENTITY_IDS, _resolve, catalog_instances, verify
 from .separable import decompose
 
 DEFAULT_TRUNC = 25
@@ -90,37 +90,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verify_instances(args):
+def _verify_instances(args, trunc: int):
     if args.all and args.identity:
         raise UsageError("--all and --identity are mutually exclusive")
     if not args.all and not args.identity:
         raise UsageError("choose --identity or --all")
     overrides = {}
-    for flag in _PARAM_FLAGS:
-        value = getattr(args, flag)
+    for name in _PARAM_FLAGS + ("w_reading", "form"):
+        value = getattr(args, name)
         if value is not None:
-            overrides[flag] = value
-    if args.w_reading is not None:
-        overrides["w_reading"] = args.w_reading
-    if args.form is not None:
-        overrides["form"] = args.form
-    identities = IDENTITY_IDS if args.all else (args.identity,)
-    instances = []
-    seen = set()
-    for ident in identities:
-        entry = IDENTITIES[ident]
-        for base in entry.grid():
-            params = dict(base)
-            for name, value in overrides.items():
-                if name in entry.param_checks:
-                    params[name] = value
-                elif not args.all:
-                    raise UsageError(f"{ident} takes no parameter {name!r}")
-            key = (ident, tuple(sorted(params.items())))
-            if key not in seen:
-                seen.add(key)
-                instances.append((ident, params))
-    return instances
+            overrides[name] = value
+    if args.all:
+        return catalog_instances(trunc, overrides=overrides)
+    # One named identity runs at the truncation asked for; past its guard
+    # that is a usage error rather than a silent cap.
+    instances = catalog_instances(trunc, (args.identity,), overrides)
+    return [(ident, params, trunc) for ident, params, _ in instances]
 
 
 def _params_text(params: dict) -> str:
@@ -128,8 +113,8 @@ def _params_text(params: dict) -> str:
 
 
 def _dump_sides(ident, params, trunc, out):
-    entry = IDENTITIES[ident]
-    for eq_index, eq in enumerate(entry.build(entry.normalize(params), trunc, True)):
+    entry, params = _resolve(ident, params, trunc)
+    for eq_index, eq in enumerate(entry.builder(params, trunc, True)):
         for side in eq:
             print(f"# {ident} equation {eq_index + 1}: {side.label}", file=out)
             print(side.value.dump(), file=out)
@@ -137,10 +122,7 @@ def _dump_sides(ident, params, trunc, out):
 
 def _cmd_verify(args, out) -> int:
     trunc = args.trunc if args.trunc is not None else _default_trunc()
-    instances = []
-    for ident, params in _verify_instances(args):
-        cap = IDENTITIES[ident].guard
-        instances.append((ident, params, min(trunc, cap) if args.all else trunc))
+    instances = _verify_instances(args, trunc)
     reports = [verify(ident, params, n) for ident, params, n in instances]
     if args.format == "json":
         if len(reports) == 1 and not args.all:
@@ -202,8 +184,6 @@ def _stat_value(pi: Overpartition, stat: str, r: int) -> str:
     if stat == "sprs":
         value = smallest_positive_repeating_size(pi, r)
         return "none" if value is None else str(value)
-    if pi.convention is not Convention.LAST:
-        raise UsageError("conjugation requires the last-occurrence convention")
     return conjugate(pi).text()
 
 
@@ -263,10 +243,7 @@ def run(argv=None, out=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

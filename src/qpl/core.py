@@ -150,31 +150,43 @@ class Overpartition:
         A trailing ``~`` marks the overlined occurrence of that size; at most
         one per size.  The empty string is the empty overpartition.
         """
-        convention = Convention(convention)
         if text == "":
             return cls((), convention)
-        entries = []
-        prev_size = None
+        pairs = []
         for token in text.split(","):
             overlined = token.endswith("~")
             if overlined:
                 token = token[:-1]
             if not token.isdigit():
                 raise ValueError(f"bad part token {token!r}")
-            size = int(token)
-            if size <= 0:
-                raise ValueError(f"part size must be positive, got {size}")
-            if prev_size is not None and size > prev_size:
-                raise ValueError("part sizes must be non-increasing")
-            if entries and entries[-1][0] == size:
-                s, m, o = entries[-1]
-                if o and overlined:
+            pairs.append((int(token), overlined))
+        return cls.from_written(pairs, convention)
+
+    @classmethod
+    def from_written(cls, pairs, convention: Convention = Convention.LAST) -> "Overpartition":
+        """Build from written ``(size, overlined)`` parts, largest first.
+
+        Sizes must be positive and non-increasing; equal adjacent sizes merge
+        into one entry, of which at most one part may be overlined.
+        """
+        if not isinstance(convention, Convention):  # hot callers pass a member
+            convention = Convention(convention)
+        entries = []
+        prev = float("inf")
+        for size, overlined in pairs:
+            if size == prev:
+                _, mult, over = entries[-1]
+                if over and overlined:
                     raise ValueError(f"size {size} overlined twice")
-                entries[-1] = (s, m + 1, o or overlined)
-            else:
+                entries[-1] = (size, mult + 1, over or overlined)
+            elif 0 < size < prev:
                 entries.append((size, 1, overlined))
-            prev_size = size
-        return cls(entries, convention)
+                prev = size
+            elif size <= 0:
+                raise ValueError(f"part size must be positive, got {size}")
+            else:
+                raise ValueError("part sizes must be non-increasing")
+        return cls._make(tuple(entries), convention)
 
 
 class Partition:

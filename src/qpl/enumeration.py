@@ -86,15 +86,6 @@ def enumerate_class(n: int, tag: ClassTag):
             yield pi
 
 
-def _basis_states(family: str, k: int):
-    """Initial (size, overlined) choices for the bottom part."""
-    if family == "BL":
-        return [(1, False), (1, True)]
-    if family == "BF":
-        return [(1, False)] + ([(1, True)] if k == 1 else [])
-    raise ValueError(f"unknown basis family {family!r}")
-
-
 def basis_elements(family: str, k: int, m: int, max_weight=None):
     """All basis elements with exactly m parts, in canonical text order.
 
@@ -117,16 +108,17 @@ def basis_elements(family: str, k: int, m: int, max_weight=None):
 
     results = []
     # Stack holds (parts bottom-first, weight); parts are (size, overlined).
+    # The bottom part has size 1 and takes an overline where position 0 may.
     stack = [
-        ([first], first[0])
-        for first in _basis_states(family, k)
-        if max_weight is None or first[0] <= max_weight
+        ([(1, over)], 1)
+        for over in ((False, True) if allowed(0) else (False,))
+        if max_weight is None or max_weight >= 1
     ]
     while stack:
         parts, weight = stack.pop()
         length = len(parts)
         if length == m:
-            results.append(_assemble(parts, convention))
+            results.append(Overpartition.from_written(reversed(parts), convention))
             continue
         top_size, top_over = parts[-1]
         if family == "BL":
@@ -146,17 +138,6 @@ def basis_elements(family: str, k: int, m: int, max_weight=None):
             stack.append((parts + [(size, over)], w))
     results.sort(key=Overpartition.text)
     return results
-
-
-def _assemble(parts_bottom_first, convention):
-    entries = []
-    for size, over in reversed(parts_bottom_first):
-        if entries and entries[-1][0] == size:
-            s, mult, o = entries[-1]
-            entries[-1] = (s, mult + 1, o or over)
-        else:
-            entries.append((size, 1, over))
-    return Overpartition._make(tuple(entries), convention)
 
 
 def iter_basis_elements(family: str, k: int, max_weight: int):

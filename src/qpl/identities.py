@@ -32,7 +32,7 @@ Identity overview:
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .core import (
@@ -244,20 +244,10 @@ def _excludant_sweep(r: int, trunc: int) -> dict:
     return datas[r]
 
 
-def _series_from_weights(values, trunc: int) -> QSeries:
-    return QSeries(list(values[: trunc + 1]), trunc)
-
-
-def _brute_sigma_mes(r: int, trunc: int) -> QSeries:
-    return _series_from_weights(_excludant_sweep(r, trunc)["sigma_mes"], trunc)
-
-
-def _brute_sigma_maes(r: int, trunc: int) -> QSeries:
-    return _series_from_weights(_excludant_sweep(r, trunc)["sigma_maes"], trunc)
-
-
-def _brute_counts(trunc: int) -> QSeries:
-    return _series_from_weights(_excludant_sweep(1, trunc)["counts"], trunc)
+def _sweep_series(r: int, key: str, trunc: int) -> QSeries:
+    """One per-weight list of the excludant sweep ("counts", "sigma_mes" or
+    "sigma_maes") as a series."""
+    return QSeries(_excludant_sweep(r, trunc)[key][: trunc + 1], trunc)
 
 
 def _brute_rep_filtered(r: int, trunc: int, keep) -> QSeries:
@@ -269,41 +259,47 @@ def _brute_rep_filtered(r: int, trunc: int, keep) -> QSeries:
     return QSeries(c, trunc)
 
 
-def _brute_marked_hist(hist, trunc: int) -> ZQPoly:
+def _zq_from_hist(hist, trunc: int) -> ZQPoly:
+    """The ZQPoly of a ``{(weight, z): count}`` histogram; weights past the
+    truncation are dropped, so a histogram swept further can be reused."""
     per_z = defaultdict(lambda: [0] * (trunc + 1))
-    for (w, v), count in hist.items():
+    for (w, z), count in hist.items():
         if w <= trunc:
-            per_z[v][w] += count
+            per_z[z][w] += count
     return ZQPoly({z: QSeries(c, trunc) for z, c in per_z.items()}, trunc)
 
 
 def _brute_class_marked(family: str, k: int, trunc: int) -> ZQPoly:
     tag = ClassTag(family, k)
-    per_z = defaultdict(lambda: [0] * (trunc + 1))
+    hist = {}
     for n in range(trunc + 1):
-        for pi in iter_overpartitions(n, tag.convention):
-            if is_member(pi, tag):
-                per_z[pi.overlined_count][n] += 1
-    return ZQPoly({z: QSeries(c, trunc) for z, c in per_z.items()}, trunc)
+        per_z = Counter(
+            pi.overlined_count
+            for pi in iter_overpartitions(n, tag.convention)
+            if is_member(pi, tag)
+        )
+        hist.update(((n, z), count) for z, count in per_z.items())
+    return _zq_from_hist(hist, trunc)
 
 
 def _brute_basis_marked(family: str, k: int, trunc: int, keep) -> ZQPoly:
-    per_z = defaultdict(lambda: [0] * (trunc + 1))
-    for lam in iter_basis_elements(family, k, trunc):
-        if keep(lam):
-            per_z[lam.overlined_count][lam.weight] += 1
-    return ZQPoly({z: QSeries(c, trunc) for z, c in per_z.items()}, trunc)
+    hist = Counter(
+        (lam.weight, lam.overlined_count)
+        for lam in iter_basis_elements(family, k, trunc)
+        if keep(lam)
+    )
+    return _zq_from_hist(hist, trunc)
 
 
 def _brute_distinct_marked(k: int, s: int, trunc: int) -> ZQPoly:
-    per_z = defaultdict(lambda: [0] * (trunc + 1))
+    hist = Counter()
     j = 1
     while s * j + k * (j * (j - 1) // 2) <= trunc:
         for n in range(1, trunc + 1):
             for _ in distinct_congruent_partitions(n, j, k, s):
-                per_z[j][n] += 1
+                hist[(n, j)] += 1
         j += 1
-    return ZQPoly({z: QSeries(c, trunc) for z, c in per_z.items()}, trunc)
+    return _zq_from_hist(hist, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +454,12 @@ def _closed_maes_marked(r: int, trunc: int) -> ZQPoly:
     return total
 
 
+def _basis_exponent(k: int, m: int, s: int, j: int) -> int:
+    """Lowest q-exponent of the basis polynomial with k(m-1)+s parts and
+    largest part j: k*C(j,2) + s*j + k*(m-j)."""
+    return k * (j * (j - 1) // 2) + s * j + k * (m - j)
+
+
 def _closed_class_gf(family: str, k: int, trunc: int) -> ZQPoly:
     recips = _qq_reciprocals(trunc + k, trunc)
     total = ZQPoly.one(trunc)
@@ -465,44 +467,30 @@ def _closed_class_gf(family: str, k: int, trunc: int) -> ZQPoly:
         m = 1
         while s + k * (m - 1) <= trunc:
             for j in range(1, m + 1):
-                e = k * (j * (j - 1) // 2) + s * j + k * (m - j)
+                e = _basis_exponent(k, m, s, j)
                 if e > trunc:
                     break
                 base = QSeries.monomial(e, 1, trunc)
                 base = base * recips[k * (m - 1) + s]
                 base = base * gaussian_binomial(m - 1, j - 1, k, trunc)
-                if family == "L":
-                    marked = ZQPoly.from_qseries(base, j - 1) + ZQPoly.from_qseries(base, j)
-                else:
-                    marked = ZQPoly.from_qseries(base, j - 1)
-                total = total + marked
-            m += 1
-    if family == "F":
-        m = 1
-        while k * m <= trunc:
-            for j in range(1, m + 1):
-                e = k * (j * (j - 1) // 2) + k * m
-                if e > trunc:
-                    break
-                base = QSeries.monomial(e, 1, trunc)
-                base = base * recips[k * m]
-                base = base * gaussian_binomial(m - 1, j - 1, k, trunc)
-                total = total + ZQPoly.from_qseries(base, j)
+                # Every L_k term carries z^(j-1) and z^j.  F_k terms carry
+                # z^(j-1); at s = k the overlined-largest-part term has the
+                # same base (parts k*m, exponent k*C(j,2) + k*m) and adds z^j.
+                total = total + ZQPoly.from_qseries(base, j - 1)
+                if family == "L" or s == k:
+                    total = total + ZQPoly.from_qseries(base, j)
             m += 1
     return total
 
 
 def _closed_basis_poly(k: int, m: int, s: int, j: int, trunc: int, family: str, overlined: bool) -> ZQPoly:
-    binom = gaussian_binomial(m - 1, j - 1, k, trunc)
+    if family == "F" and overlined:
+        s = k  # the overlined F polynomial has k*m parts
+    base = QSeries.monomial(_basis_exponent(k, m, s, j), 1, trunc)
+    base = base * gaussian_binomial(m - 1, j - 1, k, trunc)
     if family == "L":
-        e = k * (j * (j - 1) // 2) + s * j + k * (m - j)
-        base = QSeries.monomial(e, 1, trunc) * binom
         return ZQPoly.from_qseries(base, j - 1) + ZQPoly.from_qseries(base, j)
-    if overlined:
-        e = k * (j * (j - 1) // 2) + k * m
-        return ZQPoly.from_qseries(QSeries.monomial(e, 1, trunc) * binom, j)
-    e = k * (j * (j - 1) // 2) + s * j + k * (m - j)
-    return ZQPoly.from_qseries(QSeries.monomial(e, 1, trunc) * binom, j - 1)
+    return ZQPoly.from_qseries(base, j if overlined else j - 1)
 
 
 def _closed_euler_lhs(trunc: int) -> ZQPoly:
@@ -539,21 +527,24 @@ class Side:
 def _build_i1(p, n, with_brute):
     eq = [Side("closed form", "closed", _closed_i1_sum(n, 0))]
     if with_brute:
-        eq.append(Side("enumerated excludant totals", "brute", _brute_sigma_mes(1, n)))
+        eq.append(Side("enumerated excludant totals", "brute",
+                       _sweep_series(1, "sigma_mes", n)))
     return [eq]
 
 
 def _build_i2(p, n, with_brute):
     eq = [Side("closed form", "closed", _closed_sigma_mes(p["r"], n, p["form"]))]
     if with_brute:
-        eq.append(Side("enumerated excludant totals", "brute", _brute_sigma_mes(p["r"], n)))
+        eq.append(Side("enumerated excludant totals", "brute",
+                       _sweep_series(p["r"], "sigma_mes", n)))
     return [eq]
 
 
 def _build_i3(p, n, with_brute):
     eq = [Side("closed form", "closed", _closed_sigma_maes(p["r"], n, p["w_reading"]))]
     if with_brute:
-        eq.append(Side("enumerated excludant totals", "brute", _brute_sigma_maes(p["r"], n)))
+        eq.append(Side("enumerated excludant totals", "brute",
+                       _sweep_series(p["r"], "sigma_maes", n)))
     return [eq]
 
 
@@ -563,12 +554,11 @@ def _build_i4(p, n, with_brute):
         Side("telescoped form", "closed", _closed_bridge_rhs(n, p["form"])),
     ]
     if with_brute:
-        counts = _brute_counts(n)
         eq.append(
             Side(
                 "enumerated totals minus counts",
                 "brute",
-                _brute_sigma_mes(1, n) - counts,
+                _sweep_series(1, "sigma_mes", n) - _sweep_series(1, "counts", n),
             )
         )
     return [eq]
@@ -586,7 +576,7 @@ def _build_i5(p, n, with_brute):
         Side("overpartition series", "closed", overpartition_series(n)),
     ]
     if with_brute:
-        eq.append(Side("enumerated counts", "brute", _brute_counts(n)))
+        eq.append(Side("enumerated counts", "brute", _sweep_series(1, "counts", n)))
     return [eq]
 
 
@@ -624,7 +614,7 @@ def _build_i7(p, n, with_brute):
     eq = [Side("closed form", "closed", _closed_mes_marked(p["r"], n))]
     if with_brute:
         hist = _excludant_sweep(p["r"], n)["mes_hist"]
-        eq.append(Side("enumerated z-marked sum", "brute", _brute_marked_hist(hist, n)))
+        eq.append(Side("enumerated z-marked sum", "brute", _zq_from_hist(hist, n)))
     return [eq]
 
 
@@ -678,7 +668,7 @@ def _build_i10(p, n, with_brute):
     eq = [Side("closed form", "closed", _closed_maes_marked(p["r"], n))]
     if with_brute:
         hist = _excludant_sweep(p["r"], n)["maes_hist"]
-        eq.append(Side("enumerated z-marked sum", "brute", _brute_marked_hist(hist, n)))
+        eq.append(Side("enumerated z-marked sum", "brute", _zq_from_hist(hist, n)))
     return [eq]
 
 
@@ -855,10 +845,9 @@ class Identity:
             if name not in out:
                 raise ValueError(f"{self.id} requires parameter {name!r}")
             out[name] = check(out[name])
+        if "s" in out and "k" in out and not out["s"] <= out["k"]:
+            raise ValueError("parameter s must satisfy 1 <= s <= k")
         return out
-
-    def build(self, params: dict, trunc: int, with_brute: bool):
-        return self.builder(params, trunc, with_brute)
 
 
 def _grid_r():
@@ -894,12 +883,6 @@ def _grid_abk():
         for a in range(1, 13)
         for b in range(0, a + 1)
     ]
-
-
-def _s_check(v):
-    if not isinstance(v, int) or v < 1:
-        raise ValueError("parameter s must be a positive integer")
-    return v
 
 
 def _reading_check(v):
@@ -953,11 +936,13 @@ IDENTITIES = {
                  _build_i12, {"k": _positive("k")}, {}, lambda: _grid_k(4), True),
         Identity("I13", "L-basis polynomial closed form",
                  _build_i13,
-                 {"k": _positive("k"), "m": _positive("m"), "s": _s_check, "j": _positive("j")},
+                 {"k": _positive("k"), "m": _positive("m"),
+                  "s": _positive("s"), "j": _positive("j")},
                  {}, _grid_kmsj, True, guard=SERIES_TRUNC_GUARD),
         Identity("I14", "F-basis polynomial closed forms",
                  _build_i14,
-                 {"k": _positive("k"), "m": _positive("m"), "s": _s_check, "j": _positive("j")},
+                 {"k": _positive("k"), "m": _positive("m"),
+                  "s": _positive("s"), "j": _positive("j")},
                  {}, _grid_kmsj, True, guard=SERIES_TRUNC_GUARD),
         Identity("I15", "Euler product expansion",
                  _build_i15, {}, {}, lambda: [{}], False),
@@ -970,68 +955,28 @@ IDENTITIES = {
                  lambda: [{"k": k, "j": j} for k in (1, 2, 3) for j in range(1, 7)],
                  False),
         Identity("I18", "L-basis subsets against distinct congruent partitions",
-                 _build_i18, {"k": _positive("k"), "s": _s_check}, {}, _grid_ks, True),
+                 _build_i18, {"k": _positive("k"), "s": _positive("s")}, {}, _grid_ks, True),
         Identity("I19", "F-basis subsets against distinct congruent partitions",
-                 _build_i19, {"k": _positive("k"), "s": _s_check}, {}, _grid_ks, True),
+                 _build_i19, {"k": _positive("k"), "s": _positive("s")}, {}, _grid_ks, True),
     ]
 }
 
 
-def _check_params(entry: Identity, params: dict):
-    if "s" in params and "k" in params and not params["s"] <= params["k"]:
-        raise ValueError("parameter s must satisfy 1 <= s <= k")
-
-
-def _check_guard(entry: Identity, trunc: int):
+def _resolve(identity: str, params, trunc: int):
+    """The catalog entry and its normalized parameters, once the truncation
+    has passed the entry's guard."""
+    entry = IDENTITIES[identity]
+    params = entry.normalize(params)
     if trunc < 0:
         raise ValueError("truncation must be >= 0")
     if trunc > entry.guard:
         raise ValueError(
             f"{entry.id} is limited to truncation {entry.guard} (got {trunc})"
         )
+    return entry, params
 
 
-def closed_form(identity: str, params=None, trunc: int = 25):
-    """The identity's written sides built from series primitives only.
-
-    Returns the pair (lhs, rhs) of the identity's primary equation; for
-    identities whose written left side is itself the enumeration, both
-    elements are the closed form.
-    """
-    entry = IDENTITIES[identity]
-    params = entry.normalize(params)
-    _check_params(entry, params)
-    _check_guard(entry, trunc)
-    sides = entry.build(params, trunc, with_brute=False)[0]
-    return sides[0].value, sides[-1].value
-
-
-def brute_force(identity: str, params=None, trunc: int = 25):
-    """The identity's combinatorial side, computed by full enumeration."""
-    entry = IDENTITIES[identity]
-    params = entry.normalize(params)
-    _check_params(entry, params)
-    if not entry.has_brute:
-        raise ValueError(f"{identity} has no enumeration side")
-    _check_guard(entry, trunc)
-    for eq in entry.build(params, trunc, with_brute=True):
-        for side in eq:
-            if side.kind == "brute":
-                return side.value
-    raise AssertionError(f"{identity} produced no enumeration side")
-
-
-def verify(identity: str, params=None, trunc: int = 25) -> VerificationReport:
-    """Compare every side of the identity coefficientwise."""
-    entry = IDENTITIES[identity]
-    params = entry.normalize(params)
-    _check_params(entry, params)
-    _check_guard(entry, trunc)
-    mismatches = []
-    for eq in entry.build(params, trunc, with_brute=True):
-        ref = eq[0]
-        for other in eq[1:]:
-            mismatches.extend(_diff(ref.value, other.value))
+def _report(identity: str, params: dict, trunc: int, mismatches: list) -> VerificationReport:
     mismatches.sort(key=lambda m: (m.q, -1 if m.z is None else m.z))
     return VerificationReport(
         identity=identity,
@@ -1042,19 +987,77 @@ def verify(identity: str, params=None, trunc: int = 25) -> VerificationReport:
     )
 
 
+def closed_form(identity: str, params=None, trunc: int = 25):
+    """The identity's written sides built from series primitives only.
+
+    Returns the pair (lhs, rhs) of the identity's primary equation; for
+    identities whose written left side is itself the enumeration, both
+    elements are the closed form.
+    """
+    entry, params = _resolve(identity, params, trunc)
+    sides = entry.builder(params, trunc, False)[0]
+    return sides[0].value, sides[-1].value
+
+
+def brute_force(identity: str, params=None, trunc: int = 25):
+    """The identity's combinatorial side, computed by full enumeration."""
+    entry, params = _resolve(identity, params, trunc)
+    if not entry.has_brute:
+        raise ValueError(f"{identity} has no enumeration side")
+    for eq in entry.builder(params, trunc, True):
+        for side in eq:
+            if side.kind == "brute":
+                return side.value
+    raise AssertionError(f"{identity} produced no enumeration side")
+
+
+def verify(identity: str, params=None, trunc: int = 25) -> VerificationReport:
+    """Compare every side of the identity coefficientwise."""
+    entry, params = _resolve(identity, params, trunc)
+    mismatches = []
+    for eq in entry.builder(params, trunc, True):
+        ref = eq[0]
+        for other in eq[1:]:
+            mismatches.extend(_diff(ref.value, other.value))
+    return _report(identity, params, trunc, mismatches)
+
+
 def default_grid(identity: str):
     """Parameter combinations used by catalog-wide verification."""
     return IDENTITIES[identity].grid()
 
 
+def catalog_instances(trunc: int, identities=None, overrides=None) -> list:
+    """``(identity, params, trunc)`` for every default-grid instance, in
+    catalog order, with the truncation capped at each entry's guard.
+
+    ``overrides`` replaces the grid values of the parameters an entry takes;
+    entries that do not take one keep their grid, but an override that no
+    selected entry takes is an error.  Instances the overrides make equal
+    are listed once.
+    """
+    identities = tuple(identities or IDENTITY_IDS)
+    overrides = dict(overrides or {})
+    for name in overrides:
+        if not any(name in IDENTITIES[i].param_checks for i in identities):
+            raise ValueError(f"{'/'.join(identities)} takes no parameter {name!r}")
+    instances = []
+    seen = set()
+    for identity in identities:
+        entry = IDENTITIES[identity]
+        for base in entry.grid():
+            params = dict(base)
+            params.update((n, v) for n, v in overrides.items() if n in entry.param_checks)
+            key = (identity, tuple(sorted(params.items())))
+            if key not in seen:
+                seen.add(key)
+                instances.append((identity, params, min(trunc, entry.guard)))
+    return instances
+
+
 def verify_all(trunc: int = 25, identities=None):
     """Verify the whole catalog on the default grids, in catalog order."""
-    reports = []
-    for identity in identities or IDENTITY_IDS:
-        entry = IDENTITIES[identity]
-        for params in entry.grid():
-            reports.append(verify(identity, params, min(trunc, entry.guard)))
-    return reports
+    return [verify(*instance) for instance in catalog_instances(trunc, identities)]
 
 
 def theorem_count_check(which: str, n: int, r: int) -> VerificationReport:
@@ -1072,29 +1075,20 @@ def theorem_count_check(which: str, n: int, r: int) -> VerificationReport:
     if r < 1:
         raise ValueError("r must be >= 1")
     axis = n + 2
-    lhs = defaultdict(lambda: [0] * (axis + 1))
-    rhs = defaultdict(lambda: [0] * (axis + 1))
+    lhs = Counter()
+    rhs = Counter()
     for pi in iter_overpartitions(n, Convention.LAST):
         if which == "Thm2_1":
             kk = min_excludant_size(pi, r)
-            lhs[count_parts_above(pi, kk)][kk] += 1
+            lhs[(kk, count_parts_above(pi, kk))] += 1
             big = largest_repeating_size(pi, r)
-            rhs[big][count_parts_above(pi, big) + 1] += 1
+            rhs[(count_parts_above(pi, big) + 1, big)] += 1
         else:
             kk = max_excludant_size(pi, r)
             if kk >= 1:
-                lhs[count_parts_above(pi, kk)][kk] += 1
+                lhs[(kk, count_parts_above(pi, kk))] += 1
             small = smallest_positive_repeating_size(pi, r)
             if small is not None:
-                rhs[small][count_parts_above(pi, small, inclusive=True) - 1] += 1
-    left = ZQPoly({z: QSeries(c, axis) for z, c in lhs.items()}, axis)
-    right = ZQPoly({z: QSeries(c, axis) for z, c in rhs.items()}, axis)
-    mismatches = _diff_zq(left, right)
-    mismatches.sort(key=lambda m: (m.q, m.z))
-    return VerificationReport(
-        identity=which,
-        params={"n": n, "r": r},
-        trunc=n,
-        status="pass" if not mismatches else "fail",
-        mismatches=tuple(mismatches),
-    )
+                rhs[(count_parts_above(pi, small, inclusive=True) - 1, small)] += 1
+    mismatches = _diff_zq(_zq_from_hist(lhs, axis), _zq_from_hist(rhs, axis))
+    return _report(which, {"n": n, "r": r}, n, mismatches)

@@ -47,20 +47,6 @@ def is_member(pi: Overpartition, tag: ClassTag) -> bool:
     return True
 
 
-def is_member_positional(pi: Overpartition, tag: ClassTag) -> bool:
-    """Class membership by scanning written part positions directly."""
-    if tag.family == "all":
-        return True
-    _require_convention(pi, tag.convention, f"{tag.family}_k membership")
-    written = pi.parts()
-    ell = len(written)
-    want = 0 if tag.family == "L" else -1
-    for i, (_, overlined) in enumerate(written, start=1):
-        if overlined and (ell - i - want) % tag.k != 0:
-            return False
-    return True
-
-
 def _family_tag(family: str, k: int) -> ClassTag:
     if family == "BL":
         return ClassTag("L", k)
@@ -117,17 +103,9 @@ def compose(witness: DecompositionWitness) -> Overpartition:
         raise ValueError("padding must be non-increasing")
     if any(x < 0 for x in mu):
         raise ValueError("padding must be nonnegative")
-    entries = []
-    for (size, over), pad in zip(written, mu):
-        total = size + pad
-        if entries and entries[-1][0] == total:
-            s, m, o = entries[-1]
-            if o and over:
-                raise ValueError("composition overlines one size twice")
-            entries[-1] = (s, m + 1, o or over)
-        else:
-            entries.append((total, 1, over))
-    return Overpartition._make(tuple(entries), lam.convention)
+    return Overpartition.from_written(
+        [(size + pad, over) for (size, over), pad in zip(written, mu)], lam.convention
+    )
 
 
 def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
@@ -157,19 +135,9 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
             else:
                 size = below_size + 1 if below_over else below_size
         lam_parts.append((size, over))
-    lam_sizes = [s for s, _ in reversed(lam_parts)]
-    lam_overs = [o for _, o in reversed(lam_parts)]
-    padding = tuple(
-        written[i][0] - lam_sizes[i] for i in range(m)
-    )
-    entries = []
-    for s, o in zip(lam_sizes, lam_overs):
-        if entries and entries[-1][0] == s:
-            es, em, eo = entries[-1]
-            entries[-1] = (es, em + 1, eo or o)
-        else:
-            entries.append((s, 1, o))
-    lam = Overpartition._make(tuple(entries), tag.convention)
+    lam_written = lam_parts[::-1]
+    padding = tuple(p[0] - b[0] for p, b in zip(written, lam_written))
+    lam = Overpartition.from_written(lam_written, tag.convention)
     witness = DecompositionWitness(lam, padding)
     if (
         any(p < 0 for p in padding)
@@ -284,62 +252,21 @@ def _staircase_preimage(nu: Partition, k: int, s: int) -> Partition:
     return Partition([c for c in cols if c]).conjugate()
 
 
-def bl_bijection_to_distinct(lam: Overpartition, k: int, s: int) -> Partition:
-    """Map a BL basis element with overlined smallest part and part count
-    congruent to s (mod k) to a partition with j distinct parts congruent to
-    s (mod k), where j is the largest part size.  Weight is preserved."""
-    if not is_basis_element(lam, "BL", k):
-        raise ValueError("not a BL basis element")
+def _bijection_to_distinct(lam: Overpartition, family: str, k: int, s: int) -> Partition:
+    if not is_basis_element(lam, family, k):
+        raise ValueError(f"not a {family} basis element")
     if _length_residue(lam.num_parts, k) != s:
         raise ValueError("part count does not match s mod k")
-    if not lam.has_overlined(1):
+    j = lam.largest_size
+    if family == "BL" and not lam.has_overlined(1):
         raise ValueError("smallest part must be overlined")
-    j = lam.largest_size
-    mu = _strip_staircase(lam, k, j, remove_at_top=s, top_overlined=True)
-    return _staircase_image(mu, k, s, j)
-
-
-def bl_bijection_from_distinct(nu: Partition, k: int, s: int) -> Overpartition:
-    """Inverse of :func:`bl_bijection_to_distinct`."""
-    if not 1 <= s <= k:
-        raise ValueError("s must satisfy 1 <= s <= k")
-    j = len(nu)
-    if j < 1:
-        raise ValueError("need at least one part")
-    mu = _staircase_preimage(nu, k, s)
-    entries = {}
-    for p in mu.parts:
-        entries[p] = entries.get(p, 0) + 1
-    built = []
-    for t in range(j, 0, -1):
-        extra = entries.pop(t, 0)
-        take = k if t < j else s
-        built.append((t, extra + take, True))
-    if entries:
-        raise ValueError("partition does not fit the staircase")
-    lam = Overpartition(built, Convention.LAST)
-    if not is_basis_element(lam, "BL", k):
-        raise AssertionError("inverse image failed the basis check")
-    return lam
-
-
-def bf_bijection_to_distinct(lam: Overpartition, k: int, s: int) -> Partition:
-    """Map a BF basis element with plain largest part and part count
-    congruent to s (mod k) to a partition with j distinct parts congruent to
-    s (mod k), where j is the largest part size.  Weight is preserved."""
-    if not is_basis_element(lam, "BF", k):
-        raise ValueError("not a BF basis element")
-    if _length_residue(lam.num_parts, k) != s:
-        raise ValueError("part count does not match s mod k")
-    j = lam.largest_size
-    if lam.has_overlined(j):
+    if family == "BF" and lam.has_overlined(j):
         raise ValueError("largest part must be plain")
-    mu = _strip_staircase(lam, k, j, remove_at_top=s, top_overlined=False)
+    mu = _strip_staircase(lam, k, j, remove_at_top=s, top_overlined=family == "BL")
     return _staircase_image(mu, k, s, j)
 
 
-def bf_bijection_from_distinct(nu: Partition, k: int, s: int) -> Overpartition:
-    """Inverse of :func:`bf_bijection_to_distinct`."""
+def _bijection_from_distinct(nu: Partition, family: str, k: int, s: int) -> Overpartition:
     if not 1 <= s <= k:
         raise ValueError("s must satisfy 1 <= s <= k")
     j = len(nu)
@@ -354,11 +281,35 @@ def bf_bijection_from_distinct(nu: Partition, k: int, s: int) -> Overpartition:
         extra = entries.pop(t, 0)
         if t < j:
             built.append((t, extra + k, True))
-        else:
-            built.append((t, extra + s, False))
+        else:  # the largest size is overlined in BL and plain in BF
+            built.append((t, extra + s, family == "BL"))
     if entries:
         raise ValueError("partition does not fit the staircase")
-    lam = Overpartition(built, Convention.FIRST)
-    if not is_basis_element(lam, "BF", k):
+    lam = Overpartition(built, _family_tag(family, k).convention)
+    if not is_basis_element(lam, family, k):
         raise AssertionError("inverse image failed the basis check")
     return lam
+
+
+def bl_bijection_to_distinct(lam: Overpartition, k: int, s: int) -> Partition:
+    """Map a BL basis element with overlined smallest part and part count
+    congruent to s (mod k) to a partition with j distinct parts congruent to
+    s (mod k), where j is the largest part size.  Weight is preserved."""
+    return _bijection_to_distinct(lam, "BL", k, s)
+
+
+def bl_bijection_from_distinct(nu: Partition, k: int, s: int) -> Overpartition:
+    """Inverse of :func:`bl_bijection_to_distinct`."""
+    return _bijection_from_distinct(nu, "BL", k, s)
+
+
+def bf_bijection_to_distinct(lam: Overpartition, k: int, s: int) -> Partition:
+    """Map a BF basis element with plain largest part and part count
+    congruent to s (mod k) to a partition with j distinct parts congruent to
+    s (mod k), where j is the largest part size.  Weight is preserved."""
+    return _bijection_to_distinct(lam, "BF", k, s)
+
+
+def bf_bijection_from_distinct(nu: Partition, k: int, s: int) -> Overpartition:
+    """Inverse of :func:`bf_bijection_to_distinct`."""
+    return _bijection_from_distinct(nu, "BF", k, s)

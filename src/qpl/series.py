@@ -154,12 +154,6 @@ class QSeries:
             b[m] = -inv0 * acc
         return QSeries._make(b, n)
 
-    def truncated(self, trunc: int) -> "QSeries":
-        """Exact restriction to a smaller truncation order."""
-        if trunc > self.trunc:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries._make(self.coeffs[: trunc + 1], trunc)
-
     def dump(self) -> str:
         """One line per exponent: ``exponent<TAB>coefficient``."""
         return "\n".join(f"{i}\t{c}" for i, c in enumerate(self.coeffs))
@@ -192,16 +186,6 @@ def q_pochhammer(coef: int, offset: int, count, trunc: int, step: int = 1) -> QS
             for j in range(trunc, e - 1, -1):
                 out[j] -= coef * out[j - e]
         i += 1
-    return QSeries._make(out, trunc)
-
-
-def geometric(exponent: int, trunc: int) -> QSeries:
-    """1 / (1 - q^exponent) truncated; exponent must be positive."""
-    if exponent < 1:
-        raise ValueError("exponent must be >= 1")
-    out = [0] * (trunc + 1)
-    for e in range(0, trunc + 1, exponent):
-        out[e] = 1
     return QSeries._make(out, trunc)
 
 
@@ -382,11 +366,6 @@ class ZQPoly:
         if delta < 0 and any(z + delta < 0 for z in self.terms):
             raise ValueError("z-shift would produce a negative z-degree")
         return ZQPoly({z + delta: s for z, s in self.terms.items()}, self.trunc)
-
-    def truncated(self, trunc: int) -> "ZQPoly":
-        return ZQPoly(
-            {z: s.truncated(trunc) for z, s in self.terms.items()}, trunc
-        )
 
     def q_projection(self) -> QSeries:
         """Sum over z-degrees (the q-series at z = 1)."""

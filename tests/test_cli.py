@@ -1,9 +1,15 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from qpl.cli import run
+from qpl.identities import IDENTITIES, catalog_instances
+
+# `qpl verify --all --trunc 25 --format json` as recorded before any refactor
+# of the catalog (sha256 a97ad784...36eb3778aa); read here, never rewritten.
+CATALOG_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "goldens" / "catalog.json"
 
 
 def _run(argv):
@@ -144,6 +150,7 @@ def test_verify_usage_errors():
     assert _run(["verify"])[0] == 2
     assert _run(["verify", "--identity", "I1", "--all"])[0] == 2
     assert _run(["verify", "--identity", "I1", "--m", "3"])[0] == 2
+    assert _run(["verify", "--identity", "I2", "--k", "1"])[0] == 2
     assert _run(["verify", "--identity", "I99"])[0] == 2
     assert _run(["bogus"])[0] == 2
 
@@ -168,3 +175,25 @@ def test_trunc_env_override(monkeypatch):
 def test_help_exits_zero():
     assert _run(["--help"])[0] == 0
     assert _run(["verify", "--help"])[0] == 0
+
+
+def test_catalog_instances_match_the_recorded_catalog():
+    recorded = json.loads(CATALOG_GOLDEN.read_text())
+    want = [(r["identity"], r["params"], r["trunc"]) for r in recorded]
+    assert len(want) == 831
+    got = catalog_instances(25)
+    # reports carry normalized parameters, defaults filled in
+    assert [(i, IDENTITIES[i].normalize(p), n) for i, p, n in got] == want
+    # an override reaches only the entries that take it
+    only_r1 = catalog_instances(25, ("I2", "I11"), {"r": 1})
+    assert only_r1 == [("I2", {"r": 1, "form": "subtracted"}, 25),
+                       ("I2", {"r": 1, "form": "corrected"}, 25)] + \
+        [("I11", {"k": k}, 25) for k in (1, 2, 3, 4)]
+    with pytest.raises(ValueError):
+        catalog_instances(25, ("I2",), {"k": 1})
+
+
+def test_verify_all_json_is_the_recorded_catalog():
+    code, text = _run(["verify", "--all", "--trunc", "25", "--format", "json"])
+    assert code == 1  # the subtracted partial-sum forms fail, as recorded
+    assert text == CATALOG_GOLDEN.read_text()

@@ -23,6 +23,28 @@ def test_parse_basic():
     assert O("2,1,1~").entries == ((2, 1, False), (1, 2, True))
 
 
+def test_from_written_merges_equal_sizes():
+    pi = Overpartition.from_written([(3, True), (2, False), (2, False), (2, True), (1, False)])
+    assert pi.entries == ((3, 1, True), (2, 3, True), (1, 1, False))
+    assert pi == O("3~,2,2,2~,1") and pi.text() == "3~,2,2,2~,1"
+    first = Overpartition.from_written([(2, True), (2, False)], "first")
+    assert first == O("2~,2", "first") and first.convention is Convention.FIRST
+    assert Overpartition.from_written([]) == O("")
+    for text in ("4,4,3~,2,1", "1,1,1~", "5~", ""):
+        assert Overpartition.from_written(O(text).parts()) == O(text)
+
+
+def test_from_written_errors():
+    with pytest.raises(ValueError):
+        Overpartition.from_written([(2, True), (2, True)])  # overlined twice
+    with pytest.raises(ValueError):
+        Overpartition.from_written([(1, False), (2, False)])  # increasing
+    with pytest.raises(ValueError):
+        Overpartition.from_written([(1, False), (0, False)])  # size 0
+    with pytest.raises(ValueError):
+        Overpartition.from_written([(0, False)])
+
+
 def test_parse_normalizes_overline_position():
     # the overline may sit anywhere in its block; rendering canonicalizes it
     assert O("2,1~,1").text() == "2,1,1~"

@@ -9,7 +9,7 @@ from qpl.enumeration import (
     overpartitions_of,
 )
 from qpl.identities import overpartition_series
-from qpl.separable import is_basis_element, is_member, is_member_positional
+from qpl.separable import is_basis_element, is_member
 
 import pytest
 
@@ -111,6 +111,20 @@ def test_basis_weight_cap():
     by_iter = [lam for lam in iter_basis_elements("BF", 2, 10)]
     assert all(lam.weight <= 10 for lam in by_iter)
     assert len({lam.text() for lam in by_iter}) == len(by_iter)
+
+
+def is_member_positional(pi, tag):
+    """Oracle for is_member: scan the written part positions directly."""
+    if tag.family == "all":
+        return True
+    assert pi.convention is tag.convention
+    written = pi.parts()
+    ell = len(written)
+    want = 0 if tag.family == "L" else -1
+    for i, (_, overlined) in enumerate(written, start=1):
+        if overlined and (ell - i - want) % tag.k != 0:
+            return False
+    return True
 
 
 def test_membership_tests_agree():

@@ -88,6 +88,11 @@ def test_compose_errors():
         compose(DecompositionWitness(O("1,1"), (0, 1)))
     with pytest.raises(ValueError):
         compose(DecompositionWitness(O("1,1"), (-1, -1)))
+    # A valid basis and padding cannot overline one size twice; only a
+    # basis built past validation can, and compose must still refuse it.
+    corrupt = Overpartition._make(((2, 1, True), (2, 1, True)), Convention.LAST)
+    with pytest.raises(ValueError, match="overlined twice"):
+        compose(DecompositionWitness(corrupt, (0, 0)))
 
 
 def test_decompose_rejects_non_members():

@@ -6,7 +6,6 @@ from qpl.series import (
     QSeries,
     ZQPoly,
     gaussian_binomial,
-    geometric,
     omega_factor,
     omega_product,
     one_plus_zq_product,
@@ -114,10 +113,6 @@ def test_gaussian_binomial_palindromic_nonnegative():
             coeffs = gaussian_binomial(a, b, 1).coeffs
             assert min(coeffs) >= 0
             assert coeffs == coeffs[::-1], (a, b)
-
-
-def test_geometric():
-    assert geometric(2, 7).coeffs == (1, 0, 1, 0, 1, 0, 1, 0)
 
 
 def test_zq_basic_arithmetic():
