@@ -161,12 +161,12 @@ def _diff(ref, other):
 
 def overpartition_series(trunc: int) -> QSeries:
     """Generating function counting all overpartitions by weight."""
-    return q_pochhammer(-1, 1, None, trunc) * q_pochhammer(1, 1, None, trunc).reciprocal()
+    return _tail_series(1, trunc)
 
 
 def _tail_series(n: int, trunc: int) -> QSeries:
     """Overpartitions whose parts all have size >= n."""
-    return q_pochhammer(-1, n, None, trunc) * q_pochhammer(1, n, None, trunc).reciprocal()
+    return q_pochhammer(-1, n, None, trunc) / q_pochhammer(1, n, None, trunc)
 
 
 def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
@@ -187,16 +187,6 @@ def _omega_z_factor(t: int, r: int, trunc: int) -> ZQPoly:
             break
         terms[i] = QSeries.monomial(i * t, 2, trunc)
     return ZQPoly(terms, trunc)
-
-
-def _qq_reciprocals(max_len: int, trunc: int):
-    """1/(q;q)_L for L = 0..max_len, computed incrementally."""
-    out = [QSeries.one(trunc)]
-    prod = QSeries.one(trunc)
-    for ell in range(1, max_len + 1):
-        prod = prod * q_pochhammer(1, ell, 1, trunc)
-        out.append(prod.reciprocal())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +301,7 @@ def _closed_i1_sum(trunc: int, start: int) -> QSeries:
     c = start
     while c * (c + 1) // 2 <= trunc:
         term = QSeries.monomial(c * (c + 1) // 2, 2**c, trunc)
-        term = term * q_pochhammer(-1, 1, c, trunc).reciprocal()
+        term = term / q_pochhammer(-1, 1, c, trunc)
         total = total + term
         c += 1
     return overpartition_series(trunc) * total
@@ -322,7 +312,7 @@ def _partial_rep_true(r: int, limit: int, trunc: int) -> QSeries:
     sizes below limit unrestricted, sizes >= limit at most r times each."""
     return (
         q_pochhammer(-1, 1, limit - 1, trunc)
-        * q_pochhammer(1, 1, limit - 1, trunc).reciprocal()
+        / q_pochhammer(1, 1, limit - 1, trunc)
         * omega_product(limit, None, r, trunc)
     )
 
@@ -335,7 +325,7 @@ def _closed_sigma_mes(r: int, trunc: int, form: str) -> QSeries:
             total = total + (
                 _excludant_numerator(n, r, trunc)
                 * q_pochhammer(-1, 1, n - 1, trunc)
-                * q_pochhammer(1, 1, n - 1, trunc).reciprocal()
+                / q_pochhammer(1, 1, n - 1, trunc)
                 * omega_product(n + 1, None, r, trunc)
             )
         return total
@@ -345,8 +335,8 @@ def _closed_sigma_mes(r: int, trunc: int, form: str) -> QSeries:
         inner = big - partial * _tail_series(n, trunc) + none_repeating
         total = total + (
             _excludant_numerator(n, r, trunc)
-            * omega_factor(n, r, trunc).reciprocal()
             * inner
+            / omega_factor(n, r, trunc)
         )
         partial = partial * omega_factor(n, r, trunc)
     return total
@@ -374,7 +364,7 @@ def _closed_sigma_maes(r: int, trunc: int, w_reading: str) -> QSeries:
             QSeries.monomial(n, 1, trunc)
             * partial
             * q_pochhammer(-1, n + 1, None, trunc)
-            * q_pochhammer(1, n, None, trunc).reciprocal()
+            / q_pochhammer(1, n, None, trunc)
             * (QSeries.one(trunc) + w_term)
         )
         total = total - term
@@ -387,7 +377,7 @@ def _closed_bridge_rhs(trunc: int, form: str) -> QSeries:
     twisted_all = q_pochhammer(-2, 1, None, trunc)
     total = QSeries.zero(trunc)
     for n in range(1, trunc + 1):
-        factor = QSeries.monomial(n, 2, trunc) * q_pochhammer(-2, n, 1, trunc).reciprocal()
+        factor = QSeries.monomial(n, 2, trunc) / q_pochhammer(-2, n, 1, trunc)
         if form == "corrected":
             inner = _partial_rep_true(1, n, trunc)
         else:
@@ -405,7 +395,7 @@ def _rep_size_term(j: int, r: int, trunc: int) -> QSeries:
     return (
         base
         * q_pochhammer(-1, 0, j, trunc)
-        * q_pochhammer(1, 1, j, trunc).reciprocal()
+        / q_pochhammer(1, 1, j, trunc)
         * omega_product(j + 1, None, r, trunc)
     )
 
@@ -416,7 +406,7 @@ def _smallest_rep_term(j: int, r: int, trunc: int) -> QSeries:
         QSeries.monomial((r + 1) * j, 2, trunc)
         * omega_product(1, j - 1, r, trunc)
         * q_pochhammer(-1, j + 1, None, trunc)
-        * q_pochhammer(1, j, None, trunc).reciprocal()
+        / q_pochhammer(1, j, None, trunc)
     )
 
 
@@ -430,7 +420,7 @@ def _closed_mes_marked(r: int, trunc: int) -> ZQPoly:
     while (r + 1) * j <= trunc:
         base = QSeries.monomial((r + 1) * j, 1, trunc)
         base = base * q_pochhammer(-1, 0, j, trunc)
-        base = base * q_pochhammer(1, 1, j, trunc).reciprocal()
+        base = base / q_pochhammer(1, 1, j, trunc)
         tail = suffix[j + 1] if j + 1 <= trunc else ZQPoly.one(trunc)
         total = total + ZQPoly.from_qseries(base, 1) * tail
         j += 1
@@ -461,7 +451,6 @@ def _basis_exponent(k: int, m: int, s: int, j: int) -> int:
 
 
 def _closed_class_gf(family: str, k: int, trunc: int) -> ZQPoly:
-    recips = _qq_reciprocals(trunc + k, trunc)
     total = ZQPoly.one(trunc)
     for s in range(1, k + 1):
         m = 1
@@ -471,7 +460,7 @@ def _closed_class_gf(family: str, k: int, trunc: int) -> ZQPoly:
                 if e > trunc:
                     break
                 base = QSeries.monomial(e, 1, trunc)
-                base = base * recips[k * (m - 1) + s]
+                base = base / q_pochhammer(1, 1, k * (m - 1) + s, trunc)
                 base = base * gaussian_binomial(m - 1, j - 1, k, trunc)
                 # Every L_k term carries z^(j-1) and z^j.  F_k terms carry
                 # z^(j-1); at s = k the overlined-largest-part term has the
@@ -498,7 +487,7 @@ def _closed_euler_lhs(trunc: int) -> ZQPoly:
     j = 0
     while j * (j - 1) // 2 <= trunc:
         base = QSeries.monomial(j * (j - 1) // 2, 1, trunc)
-        base = base * q_pochhammer(1, 1, j, trunc).reciprocal()
+        base = base / q_pochhammer(1, 1, j, trunc)
         total = total + ZQPoly.from_qseries(base, j)
         j += 1
     return total
@@ -733,7 +722,7 @@ def _build_i17(p, n, with_brute):
     while k * (m - j) <= n:
         total = total + gaussian_binomial(m - 1, j - 1, k, n).shift(k * (m - j))
         m += 1
-    rhs = q_pochhammer(1, k, j, n, step=k).reciprocal()
+    rhs = QSeries.one(n) / q_pochhammer(1, k, j, n, step=k)
     return [[
         Side("binomial sum", "closed", total),
         Side("reciprocal product", "closed", rhs),

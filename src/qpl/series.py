@@ -21,7 +21,10 @@ class QSeries:
     __slots__ = ("trunc", "coeffs")
 
     def __init__(self, coeffs, trunc=None):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = list(coeffs)
+        bad = [c for c in coeffs if type(c) is not int]
+        if bad:
+            raise ValueError(f"coefficients must be ints, got {bad[0]!r}")
         if trunc is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit trunc")
@@ -115,6 +118,8 @@ class QSeries:
         self._check(other)
         n = self.trunc
         a, b = self.coeffs, other.coeffs
+        if a.count(0) < b.count(0):  # the sparser operand drives the outer loop
+            a, b = b, a
         out = [0] * (n + 1)
         for i, ai in enumerate(a):
             if ai:
@@ -136,23 +141,31 @@ class QSeries:
             out[i + exponent] = self.coeffs[i]
         return QSeries._make(out, n)
 
-    def reciprocal(self) -> "QSeries":
-        """Series b with self * b = 1 mod q^(trunc+1); needs unit constant."""
-        a = self.coeffs
-        if a[0] not in (1, -1):
+    def __truediv__(self, other):
+        """Exact b with other * b = self; other needs a unit constant.  Only
+        the divisor's nonzero terms are visited: O(N * nnz), not O(N^2)."""
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        self._check(other)
+        d = other.coeffs
+        if d[0] not in (1, -1):
             raise ValueError("constant term must be +1 or -1 to invert")
         n = self.trunc
-        inv0 = a[0]
-        b = [0] * (n + 1)
-        b[0] = inv0
-        for m in range(1, n + 1):
-            acc = 0
-            for i in range(1, m + 1):
-                ai = a[i]
-                if ai:
-                    acc += ai * b[m - i]
-            b[m] = -inv0 * acc
-        return QSeries._make(b, n)
+        inv0 = d[0]
+        terms = [(i, c) for i, c in enumerate(d) if c and i]
+        out = list(self.coeffs)
+        for m in range(n + 1):
+            bm = out[m] = inv0 * out[m]
+            if bm:
+                for i, c in terms:
+                    if m + i > n:
+                        break
+                    out[m + i] -= c * bm
+        return QSeries._make(out, n)
+
+    def reciprocal(self) -> "QSeries":
+        """Series b with self * b = 1 mod q^(trunc+1); needs unit constant."""
+        return QSeries.one(self.trunc) / self
 
     def dump(self) -> str:
         """One line per exponent: ``exponent<TAB>coefficient``."""
@@ -239,7 +252,7 @@ def gaussian_binomial(a: int, b: int, k: int, trunc=None) -> QSeries:
         return QSeries.one(trunc)
     num = q_pochhammer(1, k * (a - b + 1), b, trunc, step=k)
     den = q_pochhammer(1, k, b, trunc, step=k)
-    return num * den.reciprocal()
+    return num / den
 
 
 class ZQPoly:
@@ -335,12 +348,9 @@ class ZQPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return ZQPoly(
-                {z: s * other for z, s in self.terms.items()}, self.trunc
-            )
-        if isinstance(other, QSeries):
-            self._check(other)
+        if isinstance(other, (int, QSeries)):
+            if isinstance(other, QSeries):
+                self._check(other)
             return ZQPoly(
                 {z: s * other for z, s in self.terms.items()}, self.trunc
             )

@@ -14,6 +14,75 @@ from qpl.series import (
 )
 
 
+def _convolve(a, b):
+    """Naive truncated product: the oracle for ``QSeries.__mul__``."""
+    n = a.trunc
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return QSeries(out, n)
+
+
+def _dense_reciprocal(a):
+    """Dense O(N^2) inverse of a series with unit constant: the oracle for
+    ``QSeries.__truediv__``."""
+    n = a.trunc
+    inv0 = a.coeffs[0]
+    b = [inv0] + [0] * n
+    for m in range(1, n + 1):
+        acc = sum(a.coeffs[i] * b[m - i] for i in range(1, m + 1))
+        b[m] = -inv0 * acc
+    return QSeries(b, n)
+
+
+def _random_series(rng, n, sparse, unit=False):
+    """A random series of truncation n: dense, or with about three nonzero
+    terms; ``unit`` makes the constant term +1 or -1."""
+    if sparse:
+        coeffs = [0] * (n + 1)
+        for _ in range(3):
+            coeffs[rng.randrange(n + 1)] = rng.randrange(-9, 10)
+    else:
+        coeffs = [rng.randrange(-9, 10) for _ in range(n + 1)]
+    if unit:
+        coeffs[0] = rng.choice((1, -1))
+    return QSeries(coeffs, n)
+
+
+def test_product_and_quotient_match_dense_oracles():
+    rng = random.Random(20261018)
+    for n in (0, 1, 17, 60, 200):
+        for sparse_a in (False, True):
+            for sparse_b in (False, True):
+                a = _random_series(rng, n, sparse_a)
+                b = _random_series(rng, n, sparse_b)
+                assert a * b == _convolve(a, b) == b * a
+                d = _random_series(rng, n, sparse_b, unit=True)
+                quotient = a / d
+                assert quotient == a * _dense_reciprocal(d)
+                assert quotient * d == a
+                assert d * quotient == a
+
+
+def test_quotient_errors():
+    with pytest.raises(ValueError, match=r"constant term must be \+1 or -1 to invert"):
+        QSeries.one(3) / QSeries([2, 1], 3)
+    with pytest.raises(ValueError, match="constant term"):
+        QSeries.one(3) / QSeries.zero(3)
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        QSeries.one(3) / QSeries.one(4)
+    with pytest.raises(TypeError):
+        QSeries.one(3) / 2
+
+
+def test_coefficients_must_be_ints():
+    for bad in ([1.7, 2.2], [1, True], [False], [1, "2"]):
+        with pytest.raises(ValueError, match="coefficients must be ints"):
+            QSeries(bad)
+    assert QSeries((c for c in (1, 2)), 3).coeffs == (1, 2, 0, 0)
+
+
 def test_polynomial_square():
     a = QSeries([1, 1], 3)
     assert (a * a).coeffs == (1, 2, 1, 0)
@@ -31,6 +100,8 @@ def test_truncation_mismatch_rejected():
         QSeries.one(3) + QSeries.one(4)
     with pytest.raises(ValueError):
         QSeries.one(3) * QSeries.one(4)
+    with pytest.raises(ValueError):
+        ZQPoly.zero(3) * QSeries.one(4)
 
 
 def test_reciprocal_geometric():
