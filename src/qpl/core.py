@@ -147,7 +147,8 @@ class Overpartition:
     def parse(cls, text: str, convention: Convention = Convention.LAST) -> "Overpartition":
         """Parse comma-separated sizes in non-increasing order.
 
-        A trailing ``~`` marks the overlined occurrence of that size; at most
+        Sizes are written in ASCII digits without a leading zero.  A
+        trailing ``~`` marks the overlined occurrence of that size; at most
         one per size.  The empty string is the empty overpartition.
         """
         if text == "":
@@ -157,7 +158,7 @@ class Overpartition:
             overlined = token.endswith("~")
             if overlined:
                 token = token[:-1]
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()) or token.startswith("0"):
                 raise ValueError(f"bad part token {token!r}")
             pairs.append((int(token), overlined))
         return cls.from_written(pairs, convention)

@@ -5,12 +5,22 @@ first and then expanding every subset of distinct sizes as the overlined
 ones, so each overpartition of n appears exactly once.  Public generators
 yield in a fixed order (lexicographic on the canonical text) so golden
 outputs are stable.
+
+The sweeps behind the identity checks count instead of building objects.
+A profile with d distinct sizes carries 2^d overpartitions, and an overline
+on one size does not constrain the overlines on the others, so
+:func:`weighted_profiles` visits each profile once with its weight.  Every
+prefix of a basis element is itself a basis element, so :func:`basis_nodes`
+visits each basis element once as a node of one depth-first walk, carrying
+only the counts the checks read.  The object generators stay as the public
+API and as the reference the tests compare the sweeps with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import Convention, Overpartition, Partition
 
@@ -65,6 +75,21 @@ def iter_overpartitions(n: int, convention: Convention = Convention.LAST):
             yield make(entries, convention)
 
 
+def weighted_profiles(n: int):
+    """Each plain profile of n once, as ``(pi, count)``: ``pi`` is the
+    overpartition with that profile and no overline (last-occurrence
+    convention), and ``count`` = 2^d is the number of overpartitions that
+    share the profile, d being its number of distinct sizes.  A statistic
+    that ignores overlines sums over this walk as over
+    :func:`iter_overpartitions`, with 2^d times fewer objects."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    make = Overpartition._make
+    for profile in _profiles(n, n):
+        plain = tuple((size, mult, False) for size, mult in profile)
+        yield make(plain, Convention.LAST), 1 << len(profile)
+
+
 def overpartitions_of(n: int, convention: Convention = Convention.LAST):
     """All overpartitions of n, ordered lexicographically by canonical text."""
     items = [(pi.text(), pi) for pi in iter_overpartitions(n, convention)]
@@ -86,6 +111,32 @@ def enumerate_class(n: int, tag: ClassTag):
             yield pi
 
 
+def _basis_family(family: str, k: int):
+    """The convention of a basis family and its overline-position test: may
+    the part at 0-based position ``length`` from the bottom be overlined."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if family == "BL":
+        return Convention.LAST, lambda length: length % k == 0
+    if family == "BF":
+        return Convention.FIRST, lambda length: (length + 1) % k == 0
+    raise ValueError(f"unknown basis family {family!r}")
+
+
+def _basis_children(family: str, allowed, length: int, size: int, over: bool):
+    """The ``(size, overlined)`` choices for the part at position ``length``
+    above the part ``(size, over)``.  The size is forced by the part below:
+    the bottom part has size 1; in BL an overline bumps the size; in BF the
+    size bumps after an overlined part, and an overline decorates it."""
+    if length == 0:
+        plain = lifted = 1
+    elif family == "BL":
+        plain, lifted = size, size + 1
+    else:
+        plain = lifted = size + 1 if over else size
+    return ((plain, False), (lifted, True)) if allowed(length) else ((plain, False),)
+
+
 def basis_elements(family: str, k: int, m: int, max_weight=None):
     """All basis elements with exactly m parts, in canonical text order.
 
@@ -97,47 +148,73 @@ def basis_elements(family: str, k: int, m: int, max_weight=None):
     """
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    if family == "BL":
-        convention = Convention.LAST
-        allowed = lambda length: length % k == 0
-    elif family == "BF":
-        convention = Convention.FIRST
-        allowed = lambda length: (length + 1) % k == 0
-    else:
-        raise ValueError(f"unknown basis family {family!r}")
-
+    convention, allowed = _basis_family(family, k)
     results = []
     # Stack holds (parts bottom-first, weight); parts are (size, overlined).
-    # The bottom part has size 1 and takes an overline where position 0 may.
-    stack = [
-        ([(1, over)], 1)
-        for over in ((False, True) if allowed(0) else (False,))
-        if max_weight is None or max_weight >= 1
-    ]
+    stack = [([], 0)]
     while stack:
         parts, weight = stack.pop()
         length = len(parts)
         if length == m:
             results.append(Overpartition.from_written(reversed(parts), convention))
             continue
-        top_size, top_over = parts[-1]
-        if family == "BL":
-            plain_size = top_size
-            over_size = top_size + 1
-        else:
-            plain_size = top_size + 1 if top_over else top_size
-            over_size = plain_size
-        for size, over in (
-            ((plain_size, False), (over_size, True))
-            if allowed(length)
-            else ((plain_size, False),)
-        ):
+        below = parts[-1] if parts else (0, False)
+        for size, over in _basis_children(family, allowed, length, *below):
             w = weight + size
             if max_weight is not None and w > max_weight:
                 continue
             stack.append((parts + [(size, over)], w))
     results.sort(key=Overpartition.text)
     return results
+
+
+class BasisNode(NamedTuple):
+    """One basis element as :func:`basis_nodes` sees it: no parts, only the
+    counts and flags the identity checks read."""
+
+    weight: int
+    overlined: int  # overlined parts, one per overlined size
+    length: int  # number of parts
+    top_size: int  # the largest size
+    top_overlined: bool  # the first written part is overlined
+    smallest_overlined: bool  # size 1 carries an overline
+    # The largest size carries an overline.  Under BL the overline sits on
+    # the bottom part of its block, so "2,2~,1" has a plain first part but
+    # an overlined largest size.
+    largest_overlined: bool
+
+
+def basis_nodes(family: str, k: int, max_weight=None, max_length=None):
+    """Every basis element with weight <= ``max_weight`` and at most
+    ``max_length`` parts, once each and in no particular order, as a
+    :class:`BasisNode`.  One depth-first walk emits every prefix, since each
+    prefix is itself a basis element; nothing is built or sorted.  At least
+    one bound must be given."""
+    _, allowed = _basis_family(family, k)
+    if max_weight is None and max_length is None:
+        raise ValueError("give max_weight or max_length")
+    stack = [BasisNode(0, 0, 0, 0, False, False, False)]  # the empty prefix
+    while stack:
+        node = stack.pop()
+        if node.length:
+            yield node
+        if node.length == max_length:
+            continue
+        for size, over in _basis_children(
+            family, allowed, node.length, node.top_size, node.top_overlined
+        ):
+            weight = node.weight + size
+            if max_weight is not None and weight > max_weight:
+                continue
+            stack.append(BasisNode(
+                weight,
+                node.overlined + over,
+                node.length + 1,
+                size,
+                over,
+                node.smallest_overlined or (over and size == 1),
+                over or (node.largest_overlined and size == node.top_size),
+            ))
 
 
 def iter_basis_elements(family: str, k: int, max_weight: int):

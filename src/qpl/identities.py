@@ -34,9 +34,9 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from math import comb
 
 from .core import (
-    Convention,
     count_parts_above,
     largest_repeating_size,
     max_excludant_size,
@@ -45,11 +45,12 @@ from .core import (
 )
 from .enumeration import (
     ClassTag,
+    _profiles,
+    basis_nodes,
     distinct_congruent_partitions,
-    iter_basis_elements,
-    iter_overpartitions,
+    weighted_profiles,
 )
-from .separable import basis_gf, is_member, _length_residue
+from .separable import basis_gf, _length_residue, _overlinable_sizes
 from .series import (
     QSeries,
     ZQPoly,
@@ -191,6 +192,16 @@ def _omega_z_factor(t: int, r: int, trunc: int) -> ZQPoly:
 
 # ---------------------------------------------------------------------------
 # enumeration sweeps (brute-force sides)
+#
+# The sweeps count instead of building one object per overpartition.  Every
+# statistic the excludant sweep and theorem_count_check read (mes, maes, the
+# repeating sizes, count_parts_above) depends only on the plain profile, so
+# they walk enumeration.weighted_profiles and add each profile's 2^d
+# overpartitions at once.  Class membership tests each size on its own, so a
+# profile with a sizes that may carry an overline adds C(a, z) members with
+# z overlines.  The basis sides read one walk of enumeration.basis_nodes.
+# Each sweep still visits every profile or basis element and borrows nothing
+# from the closed form it is compared with.
 
 # Per chain length r: (computed truncation, data); data lists are indexed by
 # weight, histograms are keyed by weight-first tuples so slicing to a smaller
@@ -202,36 +213,35 @@ def _excludant_sweep(r: int, trunc: int) -> dict:
     cached = _SWEEPS.get(r)
     if cached is not None and cached[0] >= trunc:
         return cached[1]
-    rs = (1, 2, 3) if r <= 3 else (r,)
-    datas = {
-        x: {
-            "counts": [0] * (trunc + 1),
-            "sigma_mes": [0] * (trunc + 1),
-            "sigma_maes": [0] * (trunc + 1),
-            "mes_hist": defaultdict(int),
-            "maes_hist": defaultdict(int),
-            "rep_hist": defaultdict(int),
-        }
-        for x in rs
-    }
+    counts = [0] * (trunc + 1)
+    sigma_mes = [0] * (trunc + 1)
+    sigma_maes = [0] * (trunc + 1)
+    mes_hist = defaultdict(int)
+    maes_hist = defaultdict(int)
+    rep_hist = defaultdict(int)
     for n in range(trunc + 1):
-        for pi in iter_overpartitions(n, Convention.LAST):
-            for x in rs:
-                data = datas[x]
-                data["counts"][n] += 1
-                mes = min_excludant_size(pi, x)
-                maes = max_excludant_size(pi, x)
-                data["sigma_mes"][n] += mes
-                data["sigma_maes"][n] += maes
-                data["mes_hist"][(n, mes)] += 1
-                if maes > 0:
-                    data["maes_hist"][(n, maes)] += 1
-                big = largest_repeating_size(pi, x)
-                small = smallest_positive_repeating_size(pi, x) or 0
-                data["rep_hist"][(n, big, small)] += 1
-    for x in rs:
-        _SWEEPS[x] = (trunc, datas[x])
-    return datas[r]
+        for pi, count in weighted_profiles(n):
+            mes = min_excludant_size(pi, r)
+            maes = max_excludant_size(pi, r)
+            counts[n] += count
+            sigma_mes[n] += mes * count
+            sigma_maes[n] += maes * count
+            mes_hist[(n, mes)] += count
+            if maes > 0:
+                maes_hist[(n, maes)] += count
+            big = largest_repeating_size(pi, r)
+            small = smallest_positive_repeating_size(pi, r) or 0
+            rep_hist[(n, big, small)] += count
+    data = {
+        "counts": counts,
+        "sigma_mes": sigma_mes,
+        "sigma_maes": sigma_maes,
+        "mes_hist": mes_hist,
+        "maes_hist": maes_hist,
+        "rep_hist": rep_hist,
+    }
+    _SWEEPS[r] = (trunc, data)
+    return data
 
 
 def _sweep_series(r: int, key: str, trunc: int) -> QSeries:
@@ -249,36 +259,26 @@ def _brute_rep_filtered(r: int, trunc: int, keep) -> QSeries:
     return QSeries(c, trunc)
 
 
-def _zq_from_hist(hist, trunc: int) -> ZQPoly:
-    """The ZQPoly of a ``{(weight, z): count}`` histogram; weights past the
-    truncation are dropped, so a histogram swept further can be reused."""
-    per_z = defaultdict(lambda: [0] * (trunc + 1))
-    for (w, z), count in hist.items():
-        if w <= trunc:
-            per_z[z][w] += count
-    return ZQPoly({z: QSeries(c, trunc) for z, c in per_z.items()}, trunc)
-
-
 def _brute_class_marked(family: str, k: int, trunc: int) -> ZQPoly:
     tag = ClassTag(family, k)
-    hist = {}
+    hist = Counter()
     for n in range(trunc + 1):
-        per_z = Counter(
-            pi.overlined_count
-            for pi in iter_overpartitions(n, tag.convention)
-            if is_member(pi, tag)
-        )
-        hist.update(((n, z), count) for z, count in per_z.items())
-    return _zq_from_hist(hist, trunc)
+        by_slots = Counter(_overlinable_sizes(profile, tag) for profile in _profiles(n, n))
+        for a, profiles in by_slots.items():
+            for z in range(a + 1):
+                hist[(n, z)] += profiles * comb(a, z)
+    return ZQPoly.from_counts(hist, trunc)
 
 
 def _brute_basis_marked(family: str, k: int, trunc: int, keep) -> ZQPoly:
+    """Basis elements of weight <= trunc whose :class:`BasisNode` passes
+    ``keep``, marked by their overline count."""
     hist = Counter(
-        (lam.weight, lam.overlined_count)
-        for lam in iter_basis_elements(family, k, trunc)
-        if keep(lam)
+        (node.weight, node.overlined)
+        for node in basis_nodes(family, k, trunc)
+        if keep(node)
     )
-    return _zq_from_hist(hist, trunc)
+    return ZQPoly.from_counts(hist, trunc)
 
 
 def _brute_distinct_marked(k: int, s: int, trunc: int) -> ZQPoly:
@@ -289,7 +289,7 @@ def _brute_distinct_marked(k: int, s: int, trunc: int) -> ZQPoly:
             for _ in distinct_congruent_partitions(n, j, k, s):
                 hist[(n, j)] += 1
         j += 1
-    return _zq_from_hist(hist, trunc)
+    return ZQPoly.from_counts(hist, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +603,7 @@ def _build_i7(p, n, with_brute):
     eq = [Side("closed form", "closed", _closed_mes_marked(p["r"], n))]
     if with_brute:
         hist = _excludant_sweep(p["r"], n)["mes_hist"]
-        eq.append(Side("enumerated z-marked sum", "brute", _zq_from_hist(hist, n)))
+        eq.append(Side("enumerated z-marked sum", "brute", ZQPoly.from_counts(hist, n)))
     return [eq]
 
 
@@ -657,7 +657,7 @@ def _build_i10(p, n, with_brute):
     eq = [Side("closed form", "closed", _closed_maes_marked(p["r"], n))]
     if with_brute:
         hist = _excludant_sweep(p["r"], n)["maes_hist"]
-        eq.append(Side("enumerated z-marked sum", "brute", _zq_from_hist(hist, n)))
+        eq.append(Side("enumerated z-marked sum", "brute", ZQPoly.from_counts(hist, n)))
     return [eq]
 
 
@@ -739,7 +739,7 @@ def _build_i18(p, n, with_brute):
             "basis elements, overlined smallest part", "brute",
             _brute_basis_marked(
                 "BL", k, n,
-                lambda lam: _length_residue(lam.num_parts, k) == s and lam.has_overlined(1),
+                lambda node: _length_residue(node.length, k) == s and node.smallest_overlined,
             ),
         ))
         eq1.append(Side("distinct congruent partitions", "brute",
@@ -748,7 +748,8 @@ def _build_i18(p, n, with_brute):
             "basis elements, plain smallest part", "brute",
             _brute_basis_marked(
                 "BL", k, n,
-                lambda lam: _length_residue(lam.num_parts, k) == s and not lam.has_overlined(1),
+                lambda node: _length_residue(node.length, k) == s
+                and not node.smallest_overlined,
             ),
         ))
     return [eq1, eq2]
@@ -765,8 +766,7 @@ def _build_i19(p, n, with_brute):
             "basis elements, overlined largest part", "brute",
             _brute_basis_marked(
                 "BF", k, n,
-                lambda lam: _length_residue(lam.num_parts, k) == k
-                and lam.has_overlined(lam.largest_size),
+                lambda node: _length_residue(node.length, k) == k and node.largest_overlined,
             ),
         ))
         eq1.append(Side("distinct congruent partitions", "brute",
@@ -775,8 +775,8 @@ def _build_i19(p, n, with_brute):
             "basis elements, plain largest part", "brute",
             _brute_basis_marked(
                 "BF", k, n,
-                lambda lam: _length_residue(lam.num_parts, k) == s
-                and not lam.has_overlined(lam.largest_size),
+                lambda node: _length_residue(node.length, k) == s
+                and not node.largest_overlined,
             ),
         ))
         eq2.append(Side("distinct congruent partitions over z", "brute",
@@ -786,7 +786,7 @@ def _build_i19(p, n, with_brute):
 
 def _positive(name):
     def check(v):
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:  # bool is an int subclass
             raise ValueError(f"parameter {name} must be a positive integer")
         return v
 
@@ -795,7 +795,7 @@ def _positive(name):
 
 def _nonneg(name):
     def check(v):
-        if not isinstance(v, int) or v < 0:
+        if type(v) is not int or v < 0:
             raise ValueError(f"parameter {name} must be a nonnegative integer")
         return v
 
@@ -1066,18 +1066,19 @@ def theorem_count_check(which: str, n: int, r: int) -> VerificationReport:
     axis = n + 2
     lhs = Counter()
     rhs = Counter()
-    for pi in iter_overpartitions(n, Convention.LAST):
+    # Every statistic read here depends only on the plain profile.
+    for pi, count in weighted_profiles(n):
         if which == "Thm2_1":
             kk = min_excludant_size(pi, r)
-            lhs[(kk, count_parts_above(pi, kk))] += 1
+            lhs[(kk, count_parts_above(pi, kk))] += count
             big = largest_repeating_size(pi, r)
-            rhs[(count_parts_above(pi, big) + 1, big)] += 1
+            rhs[(count_parts_above(pi, big) + 1, big)] += count
         else:
             kk = max_excludant_size(pi, r)
             if kk >= 1:
-                lhs[(kk, count_parts_above(pi, kk))] += 1
+                lhs[(kk, count_parts_above(pi, kk))] += count
             small = smallest_positive_repeating_size(pi, r)
             if small is not None:
-                rhs[(count_parts_above(pi, small, inclusive=True) - 1, small)] += 1
-    mismatches = _diff_zq(_zq_from_hist(lhs, axis), _zq_from_hist(rhs, axis))
+                rhs[(count_parts_above(pi, small, inclusive=True) - 1, small)] += count
+    mismatches = _diff_zq(ZQPoly.from_counts(lhs, axis), ZQPoly.from_counts(rhs, axis))
     return _report(which, {"n": n, "r": r}, n, mismatches)

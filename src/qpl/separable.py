@@ -13,10 +13,11 @@ has the number of parts of size <= t divisible by k.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Convention, Overpartition, Partition
-from .enumeration import ClassTag, basis_elements
+from .enumeration import ClassTag, basis_nodes
 from .series import ZQPoly
 
 
@@ -45,6 +46,25 @@ def is_member(pi: Overpartition, tag: ClassTag) -> bool:
                     return False
         below += mult
     return True
+
+
+def _overlinable_sizes(profile, tag: ClassTag) -> int:
+    """Number of sizes of a plain profile ``((size, multiplicity), ...)``,
+    sizes descending, that may carry an overline in the tagged L_k or F_k
+    class.
+
+    The counting rule of :func:`is_member` tests each size on its own, so
+    the members with this profile are exactly its overline choices on these
+    sizes: C(a, z) of them carry z overlines.
+    """
+    k = tag.k
+    first = tag.family == "F"
+    below = allowed = 0
+    for _, mult in reversed(profile):
+        if (below + mult if first else below) % k == 0:
+            allowed += 1
+        below += mult
+    return allowed
 
 
 def _family_tag(family: str, k: int) -> ClassTag:
@@ -158,17 +178,16 @@ def basis_gf(family: str, k: int, parts: int, j: int, overlined: bool, trunc=Non
     With no truncation given, the polynomial is computed exactly at the
     largest weight that occurs (0 if the set is empty).
     """
-    selected = [
-        lam
-        for lam in basis_elements(family, k, parts)
-        if lam.parts()[0] == (j, overlined)
-    ]
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    counts = Counter(
+        (node.weight, node.overlined)
+        for node in basis_nodes(family, k, trunc, parts)
+        if node.length == parts and node.top_size == j and node.top_overlined == overlined
+    )
     if trunc is None:
-        trunc = max((lam.weight for lam in selected), default=0)
-    acc = ZQPoly.zero(trunc)
-    for lam in selected:
-        acc = acc + ZQPoly.monomial(lam.overlined_count, lam.weight, 1, trunc)
-    return acc
+        trunc = max((weight for weight, _ in counts), default=0)
+    return ZQPoly.from_counts(counts, trunc)
 
 
 def toggle_extreme_overline(lam: Overpartition, family: str) -> Overpartition:

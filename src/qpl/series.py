@@ -91,6 +91,8 @@ class QSeries:
     def __add__(self, other):
         if isinstance(other, int):
             other = QSeries.monomial(0, other, self.trunc)
+        elif not isinstance(other, QSeries):
+            return NotImplemented  # a ZQPoly operand lifts this series
         self._check(other)
         return QSeries._make(
             [a + b for a, b in zip(self.coeffs, other.coeffs)], self.trunc
@@ -101,6 +103,8 @@ class QSeries:
     def __sub__(self, other):
         if isinstance(other, int):
             other = QSeries.monomial(0, other, self.trunc)
+        elif not isinstance(other, QSeries):
+            return NotImplemented
         self._check(other)
         return QSeries._make(
             [a - b for a, b in zip(self.coeffs, other.coeffs)], self.trunc
@@ -115,6 +119,8 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, int):
             return QSeries._make([a * other for a in self.coeffs], self.trunc)
+        if not isinstance(other, QSeries):
+            return NotImplemented
         self._check(other)
         n = self.trunc
         a, b = self.coeffs, other.coeffs
@@ -295,6 +301,17 @@ class ZQPoly:
     @classmethod
     def monomial(cls, z_degree: int, q_exponent: int, coeff: int, trunc: int) -> "ZQPoly":
         return cls({z_degree: QSeries.monomial(q_exponent, coeff, trunc)}, trunc)
+
+    @classmethod
+    def from_counts(cls, counts, trunc: int) -> "ZQPoly":
+        """The sum of count * z^z q^weight over a ``{(weight, z): count}``
+        mapping.  Weights past the truncation are dropped, so counts taken
+        to a larger weight can be reused."""
+        rows = {}
+        for (weight, z), count in counts.items():
+            if weight <= trunc:
+                rows.setdefault(z, [0] * (trunc + 1))[weight] += count
+        return cls({z: QSeries(row, trunc) for z, row in rows.items()}, trunc)
 
     def z_degrees(self):
         return tuple(sorted(self.terms))

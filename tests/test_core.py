@@ -57,6 +57,13 @@ def test_parse_errors():
             O(bad)
 
 
+def test_parse_rejects_noncanonical_tokens():
+    # text() never writes a leading zero or a non-ASCII digit
+    for bad in ("01,1", "2,01~", "00", "\u0663,1", "\uff12", "1,\u00b2"):
+        with pytest.raises(ValueError):
+            O(bad)
+
+
 def test_round_trip_canonical_text():
     for n in range(0, 13):
         for conv in (Convention.LAST, Convention.FIRST):

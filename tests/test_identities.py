@@ -174,6 +174,15 @@ def test_param_validation():
         verify("I99", {}, 10)
 
 
+def test_bool_parameters_rejected():
+    # bool is an int subclass; True must not pass for r = 1
+    with pytest.raises(ValueError):
+        verify("I2", {"r": True})
+    with pytest.raises(ValueError):
+        verify("I16", {"A": 3, "B": False, "k": 1}, 10)
+    assert verify("I16", {"A": 3, "B": 0, "k": 1}, 10).passed
+
+
 def test_truncation_guards():
     with pytest.raises(ValueError):
         verify("I2", {"r": 1}, 41)  # enumeration-backed entries stop at 40

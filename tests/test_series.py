@@ -195,6 +195,19 @@ def test_zq_basic_arithmetic():
     assert sq.z_degrees() == (0, 1, 2)
 
 
+def test_series_with_zq_operand_defers_to_zq():
+    s = QSeries([1, 2, 0, 5], 3)
+    p = ZQPoly({0: QSeries.one(3), 2: QSeries.monomial(1, 3, 3)}, 3)
+    assert s * p == p * s and isinstance(s * p, ZQPoly)
+    assert s + p == p + s and isinstance(s + p, ZQPoly)
+    assert s - p == -(p - s)
+    assert QSeries.one(3) * ZQPoly.one(3) == ZQPoly.one(3) * QSeries.one(3)
+    assert QSeries.one(3) + ZQPoly.one(3) == ZQPoly.one(3) + QSeries.one(3)
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(TypeError):
+            op(s, "1")
+
+
 def test_zq_canonical_drops_zero_terms():
     p = ZQPoly({0: QSeries.one(3), 1: QSeries.zero(3)}, 3)
     assert p.z_degrees() == (0,)
