@@ -263,10 +263,10 @@ def _brute_class_marked(family: str, k: int, trunc: int) -> ZQPoly:
     tag = ClassTag(family, k)
     hist = Counter()
     for n in range(trunc + 1):
-        by_slots = Counter(_overlinable_sizes(profile, tag) for profile in _profiles(n, n))
-        for a, profiles in by_slots.items():
+        profiles_by_a = Counter(_overlinable_sizes(p, tag) for p in _profiles(n, n))
+        for a, count in profiles_by_a.items():
             for z in range(a + 1):
-                hist[(n, z)] += profiles * comb(a, z)
+                hist[(n, z)] += count * comb(a, z)
     return ZQPoly.from_counts(hist, trunc)
 
 

@@ -243,9 +243,7 @@ def _sweeps(trunc):
     out = {}
     identities._SWEEPS.clear()
     for r in (1, 2, 3):
-        data = _excludant_sweep(r, trunc)
-        out[("excludant", r)] = {key: dict(value) if isinstance(value, dict) else value
-                                 for key, value in data.items()}
+        out[("excludant", r)] = _excludant_sweep(r, trunc)
         for which in ("Thm2_1", "Thm2_2"):
             out[(which, r)] = theorem_count_check(which, trunc, r)
     for k in (1, 2, 3, 4):
