@@ -36,7 +36,10 @@ class Overpartition:
         norm = []
         prev = None
         for size, mult, overlined in entries:
-            size, mult = int(size), int(mult)
+            if type(size) is not int or type(mult) is not int:
+                raise ValueError(f"size and multiplicity must be ints, got {size!r}, {mult!r}")
+            if type(overlined) is not bool:
+                raise ValueError(f"overline flag must be a bool, got {overlined!r}")
             if size <= 0:
                 raise ValueError(f"part size must be positive, got {size}")
             if mult <= 0:
@@ -44,7 +47,7 @@ class Overpartition:
             if prev is not None and size >= prev:
                 raise ValueError("entry sizes must be strictly decreasing")
             prev = size
-            norm.append((size, mult, bool(overlined)))
+            norm.append((size, mult, overlined))
         object.__setattr__(self, "entries", tuple(norm))
         object.__setattr__(self, "convention", convention)
 
@@ -115,18 +118,17 @@ class Overpartition:
         part (if any) sits last under ``Convention.LAST`` and first under
         ``Convention.FIRST``.
         """
-        out = []
+        out = ()
         first = self.convention is Convention.FIRST
         for size, mult, overlined in self.entries:
+            plain = (size, False)
             if not overlined:
-                out.extend((size, False) for _ in range(mult))
+                out += (plain,) * mult
             elif first:
-                out.append((size, True))
-                out.extend((size, False) for _ in range(mult - 1))
+                out += ((size, True),) + (plain,) * (mult - 1)
             else:
-                out.extend((size, False) for _ in range(mult - 1))
-                out.append((size, True))
-        return tuple(out)
+                out += (plain,) * (mult - 1) + ((size, True),)
+        return out
 
     def with_convention(self, convention: Convention) -> "Overpartition":
         """Same content under another writing convention."""
@@ -167,14 +169,19 @@ class Overpartition:
     def from_written(cls, pairs, convention: Convention = Convention.LAST) -> "Overpartition":
         """Build from written ``(size, overlined)`` parts, largest first.
 
-        Sizes must be positive and non-increasing; equal adjacent sizes merge
-        into one entry, of which at most one part may be overlined.
+        Sizes must be positive ints and non-increasing, and overline flags
+        bools; equal adjacent sizes merge into one entry, of which at most
+        one part may be overlined.
         """
         if not isinstance(convention, Convention):  # hot callers pass a member
             convention = Convention(convention)
         entries = []
         prev = float("inf")
         for size, overlined in pairs:
+            if type(size) is not int or type(overlined) is not bool:
+                raise ValueError(
+                    f"written part must be (int, bool), got ({size!r}, {overlined!r})"
+                )
             if size == prev:
                 _, mult, over = entries[-1]
                 if over and overlined:
@@ -263,11 +270,11 @@ def min_excludant_size(pi: Overpartition, r: int) -> int:
     """Smallest t >= 1 such that no part of ``pi`` has size in [t, t+r-1]."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    present = set(pi.sizes())
-    t = 1
-    # t = largest size + 1 always works, so this terminates.
-    while any((t + u) in present for u in range(r)):
-        t += 1
+    t = 1  # the least size not yet excluded
+    for size, _, _ in reversed(pi.entries):  # ascending sizes
+        if size - t >= r:  # sizes t .. size-1 are absent
+            return t
+        t = size + 1
     return t
 
 

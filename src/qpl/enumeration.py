@@ -1,10 +1,13 @@
 """Exhaustive generators: the brute-force side of every identity check.
 
-Overpartitions are generated by building plain size-multiplicity profiles
-first and then expanding every subset of distinct sizes as the overlined
-ones, so each overpartition of n appears exactly once.  Public generators
-yield in a fixed order (lexicographic on the canonical text) so golden
-outputs are stable.
+Overpartitions are generated by one depth-first walk over written parts,
+largest first, that tries the next part in canonical text order, so every
+overpartition of n appears exactly once and already in text order: nothing
+is formatted or sorted.  Corteel and Lovejoy's rule (at most one overline
+per size) is kept by the blocks of equal sizes: under the last-occurrence
+convention an overlined part closes its block, under the first-occurrence
+one it may only open one.  Public generators yield in a fixed order
+(lexicographic on the canonical text) so golden outputs are stable.
 
 The sweeps behind the identity checks count instead of building objects.
 A profile with d distinct sizes carries 2^d overpartitions, and an overline
@@ -59,20 +62,63 @@ def _profiles(n: int, max_size: int):
     return tuple(out)
 
 
+def _token_tables(n: int, convention: Convention):
+    """For each cap c = 0..n, the written parts ``(size, overlined)`` with
+    size <= c in reverse text order, so a stack pops them in text order:
+    "1" < "10" < "1~" < "2".  Comparing texts token by token is comparing
+    the whole texts, because "," sorts below every digit and "~".  Under
+    LAST a second table drops "1~", which closes its block and so ends the
+    walk while weight remains; under FIRST it drops "c~", which cannot
+    extend a block of size c."""
+    tokens = sorted(
+        ((size, over) for size in range(1, n + 1) for over in (False, True)),
+        key=lambda tok: f"{tok[0]}~" if tok[1] else str(tok[0]),
+        reverse=True,
+    )
+    full = [tuple(tok for tok in tokens if tok[0] <= c) for c in range(n + 1)]
+    if convention is Convention.LAST:
+        pruned = [tuple(tok for tok in row if tok != (1, True)) for row in full]
+    else:
+        pruned = [tuple(tok for tok in row if tok != (c, True)) for c, row in enumerate(full)]
+    return full, pruned
+
+
 def iter_overpartitions(n: int, convention: Convention = Convention.LAST):
-    """All overpartitions of n, in no particular order (fast path)."""
+    """All overpartitions of n, in canonical text order.
+
+    A depth-first walk over written parts with an explicit stack.  A stack
+    entry is a prefix ``(entries, remaining weight, last size, last
+    overline)``; its children are the next written parts in text order, so
+    each overpartition is yielded once, when its remaining weight reaches 0,
+    and nothing is formatted or sorted.  A part of the last size extends
+    its block; a smaller size opens a new one.  Under LAST an overlined
+    part closes its block, under FIRST it may only open one.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     convention = Convention(convention)
+    last = convention is Convention.LAST
+    full, pruned = _token_tables(n, convention)
     make = Overpartition._make
-    for profile in _profiles(n, n):
-        d = len(profile)
-        for mask in range(1 << d):
-            entries = tuple(
-                (size, mult, bool(mask >> i & 1))
-                for i, (size, mult) in enumerate(profile)
-            )
+    stack = [((), n, n + 1, False)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        entries, rem, prev, prev_over = pop()
+        if not rem:
             yield make(entries, convention)
+            continue
+        if last:
+            cap = prev - 1 if prev_over else prev
+            row = (full if rem == 1 else pruned)[min(cap, rem)]
+        else:
+            row = pruned[prev] if prev <= rem else full[rem]
+        for size, over in row:
+            if size == prev:
+                _, mult, block_over = entries[-1]
+                push((entries[:-1] + ((size, mult + 1, block_over or over),),
+                      rem - size, size, over))
+            else:
+                push((entries + ((size, 1, over),), rem - size, size, over))
 
 
 def weighted_profiles(n: int):
@@ -91,11 +137,10 @@ def weighted_profiles(n: int):
 
 
 def overpartitions_of(n: int, convention: Convention = Convention.LAST):
-    """All overpartitions of n, ordered lexicographically by canonical text."""
-    items = [(pi.text(), pi) for pi in iter_overpartitions(n, convention)]
-    items.sort(key=lambda pair: pair[0])
-    for _, pi in items:
-        yield pi
+    """All overpartitions of n, ordered lexicographically by canonical text.
+
+    The stream of :func:`iter_overpartitions`, which walks in that order."""
+    yield from iter_overpartitions(n, convention)
 
 
 def enumerate_class(n: int, tag: ClassTag):

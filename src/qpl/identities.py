@@ -47,7 +47,6 @@ from .enumeration import (
     ClassTag,
     _profiles,
     basis_nodes,
-    distinct_congruent_partitions,
     weighted_profiles,
 )
 from .separable import basis_gf, _length_residue, _overlinable_sizes
@@ -282,13 +281,20 @@ def _brute_basis_marked(family: str, k: int, trunc: int, keep) -> ZQPoly:
 
 
 def _brute_distinct_marked(k: int, s: int, trunc: int) -> ZQPoly:
+    """Partitions into distinct parts congruent to s (mod k) with weight
+    <= trunc, marked by their number of parts: one depth-first walk that
+    chooses parts in descending order and counts every partition once."""
     hist = Counter()
-    j = 1
-    while s * j + k * (j * (j - 1) // 2) <= trunc:
-        for n in range(1, trunc + 1):
-            for _ in distinct_congruent_partitions(n, j, k, s):
-                hist[(n, j)] += 1
-        j += 1
+    stack = [(0, 0, trunc)]  # (weight, parts, bound on the next part)
+    while stack:
+        weight, count, cap = stack.pop()
+        start = min(cap, trunc - weight)
+        start -= (start - s) % k
+        for part in range(start, s - 1, -k):
+            w = weight + part
+            hist[(w, count + 1)] += 1
+            if part - k >= s and w + s <= trunc:
+                stack.append((w, count + 1, part - k))
     return ZQPoly.from_counts(hist, trunc)
 
 

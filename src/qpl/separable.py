@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import Convention, Overpartition, Partition
 from .enumeration import ClassTag, basis_nodes
@@ -67,6 +68,7 @@ def _overlinable_sizes(profile, tag: ClassTag) -> int:
     return allowed
 
 
+@lru_cache(maxsize=64)  # a tag validates itself on construction
 def _family_tag(family: str, k: int) -> ClassTag:
     if family == "BL":
         return ClassTag("L", k)
@@ -108,7 +110,7 @@ class DecompositionWitness:
     padding: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "padding", tuple(int(x) for x in self.padding))
+        object.__setattr__(self, "padding", tuple(map(int, self.padding)))
 
 
 def compose(witness: DecompositionWitness) -> Overpartition:
@@ -119,9 +121,9 @@ def compose(witness: DecompositionWitness) -> Overpartition:
     if len(mu) > len(written):
         raise ValueError("padding longer than basis")
     mu = mu + (0,) * (len(written) - len(mu))
-    if any(a < b for a, b in zip(mu, mu[1:])):
+    if list(mu) != sorted(mu, reverse=True):
         raise ValueError("padding must be non-increasing")
-    if any(x < 0 for x in mu):
+    if mu and mu[-1] < 0:  # the least entry of a non-increasing padding
         raise ValueError("padding must be nonnegative")
     return Overpartition.from_written(
         [(size + pad, over) for (size, over), pad in zip(written, mu)], lam.convention
@@ -129,42 +131,47 @@ def compose(witness: DecompositionWitness) -> Overpartition:
 
 
 def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
-    """Unique witness for a class member, built greedily from the bottom.
+    """Unique witness for a class member, built block by block from the
+    bottom.
 
-    The overlines of the member pin down the basis element part by part
-    (composition preserves overline positions), so the basis is forced;
-    the padding is the partwise size difference.  The result is verified
-    before returning; a verification failure means an internal bug, since
-    every class member decomposes uniquely.
+    The overlines of the member pin down the basis element (composition
+    preserves overline positions), so the basis is forced: the bottom part
+    has size 1, and each part repeats the basis size of the part below it
+    except that BL bumps it at an overlined part and BF just above one.
+    Within a block of equal sizes only the block's first (BL) or last (BF)
+    part can bump, so the basis and the padding are fixed per block.  The
+    result is verified before returning; a verification failure means an
+    internal bug, since every class member decomposes uniquely.
     """
     tag = _family_tag(family, k)
     if not is_member(pi, tag):
         raise ValueError(f"overpartition is not a {tag.family}_{k} member")
-    written = pi.parts()
-    if not written:
+    if not pi.entries:
         raise ValueError("the empty overpartition has no m-part decomposition")
-    m = len(written)
-    lam_parts = []  # bottom-first (size, overlined)
+    bl = family == "BL"
+    sizes = []  # the basis size of each block of pi, bottom block first
     size = 1
-    for pos in range(m - 1, -1, -1):
-        over = written[pos][1]
-        if lam_parts:
-            below_size, below_over = lam_parts[-1]
-            if family == "BL":
-                size = below_size + 1 if over else below_size
-            else:
-                size = below_size + 1 if below_over else below_size
-        lam_parts.append((size, over))
-    lam_written = lam_parts[::-1]
-    padding = tuple(p[0] - b[0] for p, b in zip(written, lam_written))
-    lam = Overpartition.from_written(lam_written, tag.convention)
-    witness = DecompositionWitness(lam, padding)
-    if (
-        any(p < 0 for p in padding)
-        or any(a < b for a, b in zip(padding, padding[1:]))
-        or not is_basis_element(lam, family, k)
-        or compose(witness) != pi
-    ):
+    below_over = False
+    for _, _, over in reversed(pi.entries):
+        if sizes and (over if bl else below_over):
+            size += 1
+        sizes.append(size)
+        below_over = over
+    blocks = []  # basis entries, merging blocks of pi that share a size
+    padding = ()
+    for (size, mult, over), basis_size in zip(pi.entries, reversed(sizes)):
+        padding += (size - basis_size,) * mult
+        if blocks and blocks[-1][0] == basis_size:
+            _, above_mult, above_over = blocks[-1]
+            blocks[-1] = (basis_size, above_mult + mult, above_over or over)
+        else:
+            blocks.append((basis_size, mult, over))
+    witness = DecompositionWitness(Overpartition._make(tuple(blocks), tag.convention), padding)
+    try:  # compose rejects a negative or increasing padding
+        ok = is_basis_element(witness.basis, family, k) and compose(witness) == pi
+    except ValueError:
+        ok = False
+    if not ok:
         raise AssertionError(
             f"decomposition of {pi.text()!r} failed verification"
         )

@@ -233,3 +233,50 @@ def test_values_are_immutable():
         pi.entries = ()
     with pytest.raises(AttributeError):
         Partition((2, 1)).parts = ()
+
+
+def test_constructors_reject_non_int_sizes_and_non_bool_flags():
+    for entries in ([(2.9, 1, "no")], [(True, 1, False)], [(2, True, False)],
+                    [(2, 1.0, False)], [(2, 1, 1)], [(2, 1, "no")]):
+        with pytest.raises(ValueError):
+            Overpartition(entries)
+    for pairs in ([(2.5, True), (True, 1)], [(2.5, True)], [(True, False)],
+                  [(2, 1)], [(2, None)], [(3, False), (2, "yes")]):
+        with pytest.raises(ValueError):
+            Overpartition.from_written(pairs)
+    assert Overpartition([(2, 1, True)]).text() == "2~"
+    assert Overpartition.from_written([(2, True), (1, False)]).text() == "2~,1"
+
+
+def set_min_excludant(pi, r):
+    """Oracle: test t = 1, 2, ... against the set of sizes."""
+    present = set(pi.sizes())
+    t = 1
+    while any((t + u) in present for u in range(r)):
+        t += 1
+    return t
+
+
+def test_min_excludant_matches_set_oracle():
+    assert min_excludant_size(O(""), 3) == 1
+    for n in range(0, 17):
+        for pi in iter_overpartitions(n):
+            for r in range(1, 6):
+                assert min_excludant_size(pi, r) == set_min_excludant(pi, r), (pi.text(), r)
+
+
+def written_parts(pi):
+    """Oracle for parts(): one written part at a time."""
+    out = []
+    for size, mult, overlined in pi.entries:
+        for i in range(mult):
+            at = 0 if pi.convention is Convention.FIRST else mult - 1
+            out.append((size, overlined and i == at))
+    return tuple(out)
+
+
+def test_parts_match_per_part_oracle():
+    for convention in (Convention.LAST, Convention.FIRST):
+        for n in range(0, 13):
+            for pi in iter_overpartitions(n, convention):
+                assert pi.parts() == written_parts(pi), pi.text()

@@ -167,3 +167,56 @@ def test_distinct_congruent_against_filter():
                 for s in range(1, k + 1):
                     got = {p.parts for p in distinct_congruent_partitions(n, j, k, s)}
                     assert got == naive(n, j, k, s), (n, j, k, s)
+
+
+# -- the ordered walk against the profile x overline-mask oracle -------------
+
+
+def _plain_profiles(n, cap):
+    """Plain partitions of n with parts <= cap, as ((size, mult), ...)."""
+    if n == 0:
+        yield ()
+        return
+    for size in range(min(n, cap), 0, -1):
+        for mult in range(1, n // size + 1):
+            for rest in _plain_profiles(n - size * mult, size - 1):
+                yield ((size, mult),) + rest
+
+
+def mask_walk(n, convention):
+    """Oracle: every plain profile of n with every subset of its distinct
+    sizes overlined, in no particular order."""
+    for profile in _plain_profiles(n, n):
+        for mask in range(1 << len(profile)):
+            entries = tuple((size, mult, bool(mask >> i & 1))
+                            for i, (size, mult) in enumerate(profile))
+            yield Overpartition(entries, convention)
+
+
+@pytest.mark.parametrize("convention", (Convention.LAST, Convention.FIRST))
+def test_ordered_walk_matches_sorted_oracle(convention):
+    for n in range(0, 19):
+        want = sorted(mask_walk(n, convention), key=Overpartition.text)
+        assert list(overpartitions_of(n, convention)) == want, n
+        walked = list(iter_overpartitions(n, convention))
+        assert len(walked) == len(want) and set(walked) == set(want), n
+
+
+def test_text_order_puts_a_comma_below_digits_and_overlines():
+    # "," < "0".."9" < "~", so "1,..." < "10" < "10~" < "1~,..." < "2,..."
+    first = [pi.text() for pi in overpartitions_of(10, Convention.FIRST)]
+    assert first[:5] == ["1,1,1,1,1,1,1,1,1,1", "10", "10~",
+                         "1~,1,1,1,1,1,1,1,1,1", "2,1,1,1,1,1,1,1,1"]
+    last = [pi.text() for pi in overpartitions_of(11)]
+    assert last[:4] == ["1,1,1,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1,1,1,1~",
+                        "10,1", "10,1~"]
+
+
+@pytest.mark.parametrize("family", ("L", "F"))
+def test_class_stream_is_the_filtered_oracle(family):
+    for k in (1, 2, 3, 4):
+        tag = ClassTag(family, k)
+        for n in range(0, 15):
+            want = [pi for pi in sorted(mask_walk(n, tag.convention), key=Overpartition.text)
+                    if is_member(pi, tag)]
+            assert list(enumerate_class(n, tag)) == want, (family, k, n)

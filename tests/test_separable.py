@@ -156,6 +156,35 @@ def test_decompose_round_trip():
                         assert compose(decompose(pi, family, k)) == pi
 
 
+def per_part_witness(pi, family):
+    """Oracle for decompose: the basis size of each written part, bottom
+    part first, read off the part below it (BL bumps at an overlined part,
+    BF just above one)."""
+    written = pi.parts()
+    basis = []  # bottom-first (size, overlined)
+    for size, over in reversed(written):
+        if not basis:
+            basis.append((1, over))
+        else:
+            below_size, below_over = basis[-1]
+            bump = over if family == "BL" else below_over
+            basis.append((below_size + bump, over))
+    basis.reverse()
+    padding = tuple(p - b for (p, _), (b, _) in zip(written, basis))
+    return DecompositionWitness(Overpartition.from_written(basis, pi.convention), padding)
+
+
+def test_decompose_matches_per_part_oracle():
+    for k in (1, 2, 3, 4):
+        for family, class_family in (("BL", "L"), ("BF", "F")):
+            tag = ClassTag(class_family, k)
+            for n in range(1, 17):
+                for pi in iter_overpartitions(n, tag.convention):
+                    if is_member(pi, tag):
+                        assert decompose(pi, family, k) == per_part_witness(pi, family), \
+                            (pi.text(), family, k)
+
+
 # -- basis generating polynomials -------------------------------------------
 
 def test_basis_gf_examples():

@@ -3,6 +3,7 @@
 Each sweep visits profiles or basis nodes instead of overpartition objects.
 The object walks the library used before stay here as oracles: they build
 every overpartition or basis element and read its statistics one by one.
+The distinct-part walk is compared with one recursion per part count.
 The last test poisons the closed-form primitives, so a sweep that borrowed
 from the series it is checked against would fail.
 """
@@ -26,12 +27,14 @@ from qpl.enumeration import (
     ClassTag,
     basis_elements,
     basis_nodes,
+    distinct_congruent_partitions,
     iter_basis_elements,
     iter_overpartitions,
 )
 from qpl.identities import (
     _brute_basis_marked,
     _brute_class_marked,
+    _brute_distinct_marked,
     _diff_zq,
     _excludant_sweep,
     _report,
@@ -117,6 +120,18 @@ def object_basis_gf(elements, j, overlined, trunc):
     for lam in selected:
         acc = acc + ZQPoly.monomial(lam.overlined_count, lam.weight, 1, trunc)
     return acc
+
+
+def per_length_distinct_marked(k, s, trunc):
+    """One distinct_congruent_partitions recursion per (weight, length)."""
+    hist = Counter()
+    j = 1
+    while s * j + k * (j * (j - 1) // 2) <= trunc:
+        for n in range(1, trunc + 1):
+            for _ in distinct_congruent_partitions(n, j, k, s):
+                hist[(n, j)] += 1
+        j += 1
+    return ZQPoly.from_counts(hist, trunc)
 
 
 def element_key(lam):
@@ -205,6 +220,14 @@ def test_basis_gf_matches_basis_elements_filter(family, k):
                         (parts, j, overlined, trunc)
 
 
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_distinct_walk_matches_per_length_recursion(k):
+    for s in range(1, k + 1):
+        for trunc in range(0, 31):
+            assert _brute_distinct_marked(k, s, trunc) == \
+                per_length_distinct_marked(k, s, trunc), (s, trunc)
+
+
 # -- independence from the closed forms -------------------------------------
 
 POISONED_FUNCTIONS = (
@@ -249,6 +272,8 @@ def _sweeps(trunc):
     for k in (1, 2, 3, 4):
         for family in ("L", "F"):
             out[("class", family, k)] = _brute_class_marked(family, k, trunc)
+        for s in range(1, k + 1):
+            out[("distinct", k, s)] = _brute_distinct_marked(k, s, trunc)
         for family in ("BL", "BF"):
             out[("basis", family, k)] = _brute_basis_marked(
                 family, k, trunc, lambda node: node.length % k == 0)
