@@ -269,8 +269,8 @@ def written_parts(pi):
     """Oracle for parts(): one written part at a time."""
     out = []
     for size, mult, overlined in pi.entries:
+        at = 0 if pi.convention is Convention.FIRST else mult - 1
         for i in range(mult):
-            at = 0 if pi.convention is Convention.FIRST else mult - 1
             out.append((size, overlined and i == at))
     return tuple(out)
 
