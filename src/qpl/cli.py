@@ -108,8 +108,9 @@ def _verify_instances(args, trunc: int):
     return [(ident, params, trunc) for ident, params, _ in instances]
 
 
-def _params_text(params: dict) -> str:
-    return ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+def _params_text(params: tuple) -> str:
+    """A report's sorted ``(name, value)`` pairs as ``name=value,...``."""
+    return ",".join(f"{k}={v}" for k, v in params)
 
 
 def _dump_sides(ident, params, trunc, out):

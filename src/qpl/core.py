@@ -55,8 +55,8 @@ class Overpartition:
     def _make(cls, entries, convention):
         """Internal fast constructor; callers guarantee canonical entries."""
         self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "convention", convention)
+        _set_entries(self, entries)
+        _set_convention(self, convention)
         return self
 
     def __setattr__(self, name, value):
@@ -197,13 +197,21 @@ class Overpartition:
         return cls._make(tuple(entries), convention)
 
 
+# The slot descriptors set the two fields directly, which costs about half
+# of object.__setattr__ in the constructor every stream calls per object.
+_set_entries = Overpartition.__dict__["entries"].__set__
+_set_convention = Overpartition.__dict__["convention"].__set__
+
+
 class Partition:
     """Plain partition: non-increasing tuple of positive parts."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        if not set(map(type, parts)) <= {int}:
+            raise ValueError(f"parts must be ints, got {parts!r}")
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError("parts must be non-increasing")

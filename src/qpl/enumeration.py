@@ -6,8 +6,10 @@ overpartition of n appears exactly once and already in text order: nothing
 is formatted or sorted.  Corteel and Lovejoy's rule (at most one overline
 per size) is kept by the blocks of equal sizes: under the last-occurrence
 convention an overlined part closes its block, under the first-occurrence
-one it may only open one.  Public generators yield in a fixed order
-(lexicographic on the canonical text) so golden outputs are stable.
+one it may only open one.  The same walk streams the classes L_k and F_k:
+it counts the parts it places and visits members only, and the stream of
+all overpartitions is its k = 1 case.  Public generators yield in a fixed
+order (lexicographic on the canonical text) so golden outputs are stable.
 
 The sweeps behind the identity checks count instead of building objects.
 A profile with d distinct sizes carries 2^d overpartitions, and an overline
@@ -22,7 +24,7 @@ API and as the reference the tests compare the sweeps with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .core import Convention, Overpartition, Partition
@@ -39,10 +41,12 @@ class ClassTag:
     def __post_init__(self):
         if self.family not in ("all", "L", "F"):
             raise ValueError(f"unknown class family {self.family!r}")
+        if type(self.k) is not int:
+            raise ValueError(f"k must be an int, got {self.k!r}")
         if self.family != "all" and self.k < 1:
             raise ValueError("k must be >= 1")
 
-    @property
+    @cached_property
     def convention(self) -> Convention:
         return Convention.FIRST if self.family == "F" else Convention.LAST
 
@@ -86,39 +90,64 @@ def _token_tables(n: int, convention: Convention):
 def iter_overpartitions(n: int, convention: Convention = Convention.LAST):
     """All overpartitions of n, in canonical text order.
 
+    The k = 1 case of the class walk (see :func:`_class_walk`), in which
+    every overline is allowed.
+    """
+    return _class_walk(n, Convention(convention), 1)
+
+
+def _class_walk(n: int, convention: Convention, k: int):
+    """The members of L_k (LAST) or F_k (FIRST) of weight n, in canonical
+    text order; every overpartition of n when k = 1.
+
     A depth-first walk over written parts with an explicit stack.  A stack
     entry is a prefix ``(entries, remaining weight, last size, last
-    overline)``; its children are the next written parts in text order, so
-    each overpartition is yielded once, when its remaining weight reaches 0,
-    and nothing is formatted or sorted.  A part of the last size extends
-    its block; a smaller size opens a new one.  Under LAST an overlined
-    part closes its block, under FIRST it may only open one.
+    overline, parts placed, residue)``; its children are the next written
+    parts in text order, so each overpartition is yielded once, when its
+    remaining weight reaches 0, and nothing is formatted or sorted.  A part
+    of the last size extends its block; a smaller size opens a new one.
+    Under LAST an overlined part closes its block, under FIRST it may only
+    open one.
+
+    Membership asks that the total part count be congruent mod k to the
+    parts placed up to an overline: including it under LAST, where it
+    closes its block, and before it under FIRST, where it opens one.  The
+    first overline fixes that residue, a later overline with another
+    residue prunes its branch, and a leaf is yielded only when its part
+    count has the residue (-1 while no overline is placed).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    convention = Convention(convention)
     last = convention is Convention.LAST
     full, pruned = _token_tables(n, convention)
     make = Overpartition._make
-    stack = [((), n, n + 1, False)]
+    stack = [((), n, n + 1, False, 0, -1)]
+    after = (-1, -1)  # the residue of a plain and of an overlined child
     pop, push = stack.pop, stack.append
     while stack:
-        entries, rem, prev, prev_over = pop()
+        entries, rem, prev, prev_over, placed, residue = pop()
         if not rem:
-            yield make(entries, convention)
+            if residue < 0 or placed % k == residue:
+                yield make(entries, convention)
             continue
         if last:
             cap = prev - 1 if prev_over else prev
             row = (full if rem == 1 else pruned)[min(cap, rem)]
         else:
             row = pruned[prev] if prev <= rem else full[rem]
+        count = placed + 1
+        if k > 1:  # with k = 1 every overline is allowed; residues stay -1
+            fix = (count if last else placed) % k
+            after = (residue, fix if residue < 0 else residue)
+            if residue >= 0 and residue != fix:  # an overline here breaks membership
+                row = [tok for tok in row if not tok[1]]
         for size, over in row:
             if size == prev:
                 _, mult, block_over = entries[-1]
                 push((entries[:-1] + ((size, mult + 1, block_over or over),),
-                      rem - size, size, over))
+                      rem - size, size, over, count, after[over]))
             else:
-                push((entries + ((size, 1, over),), rem - size, size, over))
+                push((entries + ((size, 1, over),), rem - size, size, over, count, after[over]))
 
 
 def weighted_profiles(n: int):
@@ -147,13 +176,10 @@ def enumerate_class(n: int, tag: ClassTag):
     """Overpartitions of n belonging to the tagged class, in text order.
 
     The L family uses the last-occurrence convention, F the first-occurrence
-    one; "all" defaults to last-occurrence.
+    one; "all" defaults to last-occurrence.  The class walk visits members
+    only, so nothing is filtered afterwards.
     """
-    from .separable import is_member
-
-    for pi in overpartitions_of(n, tag.convention):
-        if is_member(pi, tag):
-            yield pi
+    return _class_walk(n, tag.convention, 1 if tag.family == "all" else tag.k)
 
 
 def _basis_family(family: str, k: int):

@@ -99,11 +99,18 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One verified instance.  ``params`` is frozen to its sorted
+    ``(name, value)`` pairs, so a report is hashable; ``to_dict`` gives the
+    mapping back."""
+
     identity: str
-    params: dict
+    params: tuple
     trunc: int
     status: str  # "pass" | "fail"
     mismatches: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", tuple(sorted(dict(self.params).items())))
 
     @property
     def passed(self) -> bool:

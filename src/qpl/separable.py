@@ -16,35 +16,32 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .core import Convention, Overpartition, Partition
 from .enumeration import ClassTag, basis_nodes
 from .series import ZQPoly
 
 
-def _require_convention(pi: Overpartition, convention: Convention, what: str):
-    if pi.convention is not convention:
-        raise ValueError(
-            f"{what} expects the {convention.value}-occurrence convention, "
-            f"got {pi.convention.value}"
-        )
+def _convention_mismatch(pi: Overpartition, convention: Convention, what: str):
+    return ValueError(
+        f"{what} expects the {convention.value}-occurrence convention, "
+        f"got {pi.convention.value}"
+    )
 
 
 def is_member(pi: Overpartition, tag: ClassTag) -> bool:
     """Class membership via the counting reduction (O(distinct sizes))."""
     if tag.family == "all":
         return True
-    _require_convention(pi, tag.convention, f"{tag.family}_k membership")
+    if pi.convention is not tag.convention:
+        raise _convention_mismatch(pi, tag.convention, f"{tag.family}_k membership")
     k = tag.k
+    first = tag.family == "F"
     below = 0
-    for size, mult, overlined in reversed(pi.entries):
-        if overlined:
-            if tag.family == "L":
-                if below % k != 0:
-                    return False
-            else:
-                if (below + mult) % k != 0:
-                    return False
+    for _, mult, overlined in reversed(pi.entries):
+        if overlined and (below + mult if first else below) % k:
+            return False
         below += mult
     return True
 
@@ -77,28 +74,31 @@ def _family_tag(family: str, k: int) -> ClassTag:
     raise ValueError(f"unknown basis family {family!r}")
 
 
+_overlined = itemgetter(2)
+
+
 def is_basis_element(lam: Overpartition, family: str, k: int) -> bool:
     """Basis test: class membership, smallest-part rule, and the bounded
-    adjacent-difference rule with family-specific strictness."""
+    adjacent-difference rule with family-specific strictness.
+
+    Read on the blocks of equal sizes: the bottom size is 1 and adjacent
+    blocks step by exactly 1 (so the top size is the number of blocks).  A
+    step needs an overline on one of the two parts that meet there: under
+    BL the bottom part of the upper block, so every block above the bottom
+    is overlined; under BF the top part of the lower block, so every block
+    below the top is.  A BF element with k >= 2 may not end in a single 1~;
+    membership already rejects that, as F_k then needs the parts of size 1
+    to number a multiple of k.
+    """
     tag = _family_tag(family, k)
-    _require_convention(lam, tag.convention, f"{family} basis test")
-    if not lam.entries:
+    if lam.convention is not tag.convention:
+        raise _convention_mismatch(lam, tag.convention, f"{family} basis test")
+    entries = lam.entries
+    if not entries or not is_member(lam, tag):
         return False
-    if not is_member(lam, tag):
+    if entries[-1][0] != 1 or entries[0][0] != len(entries):
         return False
-    written = lam.parts()
-    bottom_size, bottom_over = written[-1]
-    if bottom_size != 1:
-        return False
-    if family == "BF" and k >= 2 and bottom_over:
-        return False
-    for (sa, oa), (sb, ob) in zip(written, written[1:]):
-        if sa > sb + 1:
-            return False
-        strict = (not oa) if family == "BL" else (not ob)
-        if strict and sa == sb + 1:
-            return False
-    return True
+    return all(map(_overlined, entries[:-1] if family == "BL" else entries[1:]))
 
 
 @dataclass(frozen=True)
@@ -110,24 +110,66 @@ class DecompositionWitness:
     padding: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "padding", tuple(map(int, self.padding)))
+        padding = tuple(self.padding)
+        if not set(map(type, padding)) <= {int}:
+            raise ValueError(f"padding entries must be ints, got {padding!r}")
+        object.__setattr__(self, "padding", padding)
 
 
 def compose(witness: DecompositionWitness) -> Overpartition:
-    """Partwise sum of basis and padding; inverse of :func:`decompose`."""
+    """Partwise sum of basis and padding; inverse of :func:`decompose`.
+
+    Works block by block, never on written parts: the padding under one
+    basis block splits into runs of equal values, each run a block of the
+    sum, and the basis block's overline goes on its first run (FIRST) or
+    its last (LAST).  A canonical basis gives strictly decreasing sizes; a
+    basis built past validation may repeat or raise one, and is merged or
+    refused as :meth:`Overpartition.from_written` would.
+    """
     lam = witness.basis
     mu = witness.padding
-    written = lam.parts()
-    if len(mu) > len(written):
+    ell = lam.num_parts
+    if len(mu) > ell:
         raise ValueError("padding longer than basis")
-    mu = mu + (0,) * (len(written) - len(mu))
-    if list(mu) != sorted(mu, reverse=True):
+    mu += (0,) * (ell - len(mu))
+    if mu != tuple(sorted(mu, reverse=True)):
         raise ValueError("padding must be non-increasing")
     if mu and mu[-1] < 0:  # the least entry of a non-increasing padding
         raise ValueError("padding must be nonnegative")
-    return Overpartition.from_written(
-        [(size + pad, over) for (size, over), pad in zip(written, mu)], lam.convention
-    )
+    first = lam.convention is Convention.FIRST
+    out = []
+    prev = float("inf")  # the size of the last block of the sum
+    end = 0
+    for size, mult, over in lam.entries:
+        start, end = end, end + mult
+        if mu[start] == mu[end - 1]:  # one run, the common case
+            runs = ((size + mu[start], mult, over),)
+        else:
+            block = mu[start:end]
+            runs = []
+            at = 0
+            while at < mult:
+                count = block.count(block[at])  # equal values sit together
+                runs.append((size + block[at], count, False))
+                at += count
+            if over:
+                i = 0 if first else -1
+                runs[i] = runs[i][:2] + (True,)
+        for run in runs:
+            part = run[0]
+            if part < prev:
+                out.append(run)
+                prev = part
+            elif part == prev:
+                _, above_mult, above_over = out[-1]
+                if above_over and run[2]:
+                    raise ValueError(f"size {part} overlined twice")
+                out[-1] = (part, above_mult + run[1], above_over or run[2])
+            else:
+                raise ValueError("part sizes must be non-increasing")
+    if out and prev <= 0:
+        raise ValueError(f"part size must be positive, got {prev}")
+    return Overpartition._make(tuple(out), lam.convention)
 
 
 def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
@@ -140,8 +182,9 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
     except that BL bumps it at an overlined part and BF just above one.
     Within a block of equal sizes only the block's first (BL) or last (BF)
     part can bump, so the basis and the padding are fixed per block.  The
-    result is verified before returning; a verification failure means an
-    internal bug, since every class member decomposes uniquely.
+    result is verified before returning (membership, the basis test and
+    ``compose(witness) == pi``, all in block form); a verification failure
+    means an internal bug, since every class member decomposes uniquely.
     """
     tag = _family_tag(family, k)
     if not is_member(pi, tag):
@@ -149,23 +192,20 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
     if not pi.entries:
         raise ValueError("the empty overpartition has no m-part decomposition")
     bl = family == "BL"
-    sizes = []  # the basis size of each block of pi, bottom block first
-    size = 1
-    below_over = False
-    for _, _, over in reversed(pi.entries):
-        if sizes and (over if bl else below_over):
-            size += 1
-        sizes.append(size)
-        below_over = over
-    blocks = []  # basis entries, merging blocks of pi that share a size
+    blocks = []  # basis entries, bottom block first
     padding = ()
-    for (size, mult, over), basis_size in zip(pi.entries, reversed(sizes)):
-        padding += (size - basis_size,) * mult
-        if blocks and blocks[-1][0] == basis_size:
-            _, above_mult, above_over = blocks[-1]
-            blocks[-1] = (basis_size, above_mult + mult, above_over or over)
-        else:
-            blocks.append((basis_size, mult, over))
+    size = 0  # the basis size of the current block
+    below_over = False
+    for part, mult, over in reversed(pi.entries):
+        if not size or (over if bl else below_over):
+            size += 1
+            blocks.append((size, mult, over))
+        else:  # blocks of pi that share a basis size merge
+            _, below_mult, block_over = blocks[-1]
+            blocks[-1] = (size, below_mult + mult, block_over or over)
+        padding = (part - size,) * mult + padding
+        below_over = over
+    blocks.reverse()
     witness = DecompositionWitness(Overpartition._make(tuple(blocks), tag.convention), padding)
     try:  # compose rejects a negative or increasing padding
         ok = is_basis_element(witness.basis, family, k) and compose(witness) == pi

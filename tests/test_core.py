@@ -244,6 +244,9 @@ def test_constructors_reject_non_int_sizes_and_non_bool_flags():
                   [(2, 1)], [(2, None)], [(3, False), (2, "yes")]):
         with pytest.raises(ValueError):
             Overpartition.from_written(pairs)
+    for parts in ((2.9, True), (2.0, 1), (True,), ("2",)):
+        with pytest.raises(ValueError):
+            Partition(parts)
     assert Overpartition([(2, 1, True)]).text() == "2~"
     assert Overpartition.from_written([(2, True), (1, False)]).text() == "2~,1"
 

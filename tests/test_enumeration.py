@@ -12,6 +12,7 @@ from qpl.identities import overpartition_series
 from qpl.separable import is_basis_element, is_member
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 def test_counts_against_series():
@@ -63,6 +64,13 @@ def test_class_tag_validation():
         ClassTag("L", 0)
     assert ClassTag("all").convention is Convention.LAST
     assert ClassTag("F", 3).convention is Convention.FIRST
+
+
+@pytest.mark.parametrize("k", (2.5, True, 2.0, "2"))
+def test_class_tag_rejects_non_int_k(k):
+    # the class walk reads k as a modulus
+    with pytest.raises(ValueError):
+        ClassTag("L", k)
 
 
 BL25 = {"1,1,1,1,1", "2~,1,1,1,1", "2,2,2~,1,1", "3~,2,2~,1,1",
@@ -220,3 +228,11 @@ def test_class_stream_is_the_filtered_oracle(family):
             want = [pi for pi in sorted(mask_walk(n, tag.convention), key=Overpartition.text)
                     if is_member(pi, tag)]
             assert list(enumerate_class(n, tag)) == want, (family, k, n)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 20), st.sampled_from(("L", "F")), st.integers(1, 7))
+def test_class_stream_is_the_filtered_walk_on_random_tags(n, family, k):
+    tag = ClassTag(family, k)
+    want = [pi for pi in iter_overpartitions(n, tag.convention) if is_member(pi, tag)]
+    assert list(enumerate_class(n, tag)) == want

@@ -206,6 +206,17 @@ def test_report_shape_and_determinism():
     assert report.to_json() == again.to_json()
 
 
+def test_reports_are_hashable():
+    reports = verify_all(10, identities=("I11", "I13"))
+    assert len(set(reports)) == len(reports)
+    again = verify("I13", reports[-1].to_dict()["params"], 10)
+    assert again == reports[-1] and hash(again) == hash(reports[-1])
+    report = verify("I6", {"r": 1, "n": 2}, 12)
+    assert report.params == (("form", "subtracted"), ("n", 2), ("r", 1))
+    assert report.to_dict()["params"] == {"form": "subtracted", "n": 2, "r": 1}
+    assert hash(report) == hash(verify("I6", {"n": 2, "r": 1}, 12))
+
+
 def test_default_grids_cover_documented_ranges():
     assert default_grid("I1") == [{}]
     assert {p["r"] for p in default_grid("I2")} == {1, 2, 3}

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpl.core import Convention, Overpartition, Partition
 from qpl.enumeration import (
@@ -147,7 +148,7 @@ def test_decomposition_unique_small():
 
 
 def test_decompose_round_trip():
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         for family, class_family in (("BL", "L"), ("BF", "F")):
             tag = ClassTag(class_family, k)
             for n in range(0, 15):
@@ -183,6 +184,182 @@ def test_decompose_matches_per_part_oracle():
                     if is_member(pi, tag):
                         assert decompose(pi, family, k) == per_part_witness(pi, family), \
                             (pi.text(), family, k)
+
+
+def test_witness_rejects_non_int_padding():
+    for padding in ((1.9, True), (True, 0), (1, 1.0), ("1", 0)):
+        with pytest.raises(ValueError):
+            DecompositionWitness(O("1,1"), padding)
+    assert DecompositionWitness(O("1,1"), [1, 0]).padding == (1, 0)
+
+
+# -- the written-parts oracles for the block forms ---------------------------
+
+def compose_written(witness):
+    """Oracle for compose: add the padding to the written parts one by one
+    and rebuild from the written form."""
+    lam = witness.basis
+    mu = witness.padding
+    written = lam.parts()
+    if len(mu) > len(written):
+        raise ValueError("padding longer than basis")
+    mu = mu + (0,) * (len(written) - len(mu))
+    if list(mu) != sorted(mu, reverse=True):
+        raise ValueError("padding must be non-increasing")
+    if mu and mu[-1] < 0:
+        raise ValueError("padding must be nonnegative")
+    return Overpartition.from_written(
+        [(size + pad, over) for (size, over), pad in zip(written, mu)], lam.convention
+    )
+
+
+def is_basis_element_written(lam, family, k):
+    """Oracle for is_basis_element: the rules read on adjacent written
+    parts."""
+    tag = ClassTag("L" if family == "BL" else "F", k)
+    if not lam.entries or not is_member(lam, tag):
+        return False
+    written = lam.parts()
+    bottom_size, bottom_over = written[-1]
+    if bottom_size != 1:
+        return False
+    if family == "BF" and k >= 2 and bottom_over:
+        return False
+    for (sa, oa), (sb, ob) in zip(written, written[1:]):
+        if sa > sb + 1:
+            return False
+        strict = (not oa) if family == "BL" else (not ob)
+        if strict and sa == sb + 1:
+            return False
+    return True
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+FAMILIES = (("BL", "L"), ("BF", "F"))
+
+
+@pytest.mark.parametrize("family,class_family", FAMILIES)
+def test_block_forms_match_written_oracles(family, class_family):
+    for k in (1, 2, 3, 4):
+        tag = ClassTag(class_family, k)
+        for n in range(0, 15):
+            for pi in iter_overpartitions(n, tag.convention):
+                assert is_basis_element(pi, family, k) == \
+                    is_basis_element_written(pi, family, k), (pi.text(), family, k)
+                if pi.entries and is_member(pi, tag):
+                    witness = decompose(pi, family, k)
+                    assert compose(witness) == compose_written(witness) == pi
+
+
+def test_compose_errors_match_written_oracle():
+    corrupt = Overpartition._make(((2, 1, True), (2, 1, True)), Convention.LAST)
+    merged = Overpartition._make(((2, 1, False), (2, 2, True)), Convention.FIRST)
+    rising = Overpartition._make(((1, 1, False), (3, 1, False)), Convention.LAST)
+    cases = [(O("1,1"), (0, 0, 0)), (O("1,1"), (0, 1)), (O("1,1"), (-1, -1)),
+             (corrupt, (0, 0)), (merged, (0, 0, 0)), (rising, (0, 0))]
+    for basis, padding in cases:
+        witness = DecompositionWitness(basis, padding)
+        assert _outcome(compose, witness) == _outcome(compose_written, witness)
+
+
+# -- properties on random inputs beyond the exhaustive grids -----------------
+
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+
+@st.composite
+def profiles(draw, max_sizes=8, max_size=40, max_mult=6):
+    """A plain profile ((size, mult), ...) with sizes strictly decreasing."""
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=1, max_size=max_sizes,
+                          unique=True))
+    return tuple((size, draw(st.integers(1, max_mult)))
+                 for size in sorted(sizes, reverse=True))
+
+
+@st.composite
+def members(draw):
+    """A random L_k or F_k member: a profile whose overlines are drawn and
+    then kept only on the sizes the counting rule allows."""
+    family, class_family = draw(st.sampled_from(FAMILIES))
+    k = draw(st.integers(1, 4))
+    profile = draw(profiles())
+    flags = draw(st.lists(st.booleans(), min_size=len(profile), max_size=len(profile)))
+    entries = []
+    below = sum(mult for _, mult in profile)
+    for (size, mult), flag in zip(profile, flags):
+        below -= mult  # parts smaller than size
+        allowed = (below if class_family == "L" else below + mult) % k == 0
+        entries.append((size, mult, flag and allowed))
+    tag = ClassTag(class_family, k)
+    return Overpartition(entries, tag.convention), family, k
+
+
+@PROPERTY
+@given(members())
+def test_round_trip_on_random_members(drawn):
+    pi, family, k = drawn
+    witness = decompose(pi, family, k)
+    assert compose(witness) == compose_written(witness) == pi
+    assert is_basis_element_written(witness.basis, family, k)
+
+
+@st.composite
+def near_bases(draw):
+    """Overpartitions shaped like basis elements (consecutive sizes from
+    a small bottom, random multiplicities and overlines), with an optional
+    gap, so that both answers of the basis test occur often."""
+    family = draw(st.sampled_from(("BL", "BF")))
+    k = draw(st.integers(1, 4))
+    blocks = draw(st.integers(1, 6))
+    bottom = draw(st.sampled_from((1, 1, 1, 2)))
+    gap_at = draw(st.integers(0, blocks + 3))  # above this block, skip a size
+    entries = []
+    size = bottom
+    for i in range(blocks):
+        entries.append((size, draw(st.integers(1, 5)), draw(st.booleans())))
+        size += 2 if i == gap_at else 1
+    convention = Convention.LAST if family == "BL" else Convention.FIRST
+    return Overpartition(entries[::-1], convention), family, k
+
+
+@PROPERTY
+@given(near_bases())
+def test_basis_check_on_random_shapes(drawn):
+    lam, family, k = drawn
+    assert is_basis_element(lam, family, k) == is_basis_element_written(lam, family, k)
+
+
+@st.composite
+def witnesses(draw):
+    """A basis from any canonical overpartition, or from raw entries that
+    may repeat or raise a size, with any padding of ints."""
+    convention = draw(st.sampled_from((Convention.LAST, Convention.FIRST)))
+    raw = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3), st.booleans()),
+                        min_size=1, max_size=5))
+    if draw(st.booleans()):
+        sizes = {}
+        for size, mult, over in raw:
+            sizes.setdefault(size, (mult, over))
+        raw = [(size, *sizes[size]) for size in sorted(sizes, reverse=True)]
+    basis = Overpartition._make(tuple(raw), convention)
+    length = max(basis.num_parts + draw(st.sampled_from((0,) * 6 + (-1, 1))), 0)
+    padding = draw(st.lists(st.integers(-1, 4), min_size=length, max_size=length))
+    if draw(st.integers(0, 3)):  # mostly non-increasing, as valid paddings are
+        padding.sort(reverse=True)
+    return DecompositionWitness(basis, padding)
+
+
+@PROPERTY
+@given(witnesses())
+def test_compose_on_random_witnesses(witness):
+    assert _outcome(compose, witness) == _outcome(compose_written, witness)
 
 
 # -- basis generating polynomials -------------------------------------------
