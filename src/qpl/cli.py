@@ -114,11 +114,11 @@ def _params_text(params: tuple) -> str:
 
 
 def _dump_sides(ident, params, trunc, out):
-    entry, params = _resolve(ident, params, trunc)
-    for eq_index, eq in enumerate(entry.builder(params, trunc, True)):
+    _, equations = _resolve(ident, params, trunc)
+    for eq_index, eq in enumerate(equations):
         for side in eq:
             print(f"# {ident} equation {eq_index + 1}: {side.label}", file=out)
-            print(side.value.dump(), file=out)
+            print(side.evaluate().dump(), file=out)
 
 
 def _cmd_verify(args, out) -> int:

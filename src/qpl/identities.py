@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .core import (
@@ -287,6 +288,16 @@ def _brute_basis_marked(family: str, k: int, trunc: int, keep) -> ZQPoly:
     return ZQPoly.from_counts(hist, trunc)
 
 
+def _brute_basis_residue(family: str, k: int, s: int, overlined: bool, trunc: int) -> ZQPoly:
+    """Basis elements whose length is s (mod k) and whose end part (the
+    smallest under BL, the largest under BF) is overlined or plain, as asked."""
+    end = "smallest_overlined" if family == "BL" else "largest_overlined"
+    return _brute_basis_marked(
+        family, k, trunc,
+        lambda node: _length_residue(node.length, k) == s and getattr(node, end) == overlined,
+    )
+
+
 def _brute_distinct_marked(k: int, s: int, trunc: int) -> ZQPoly:
     """Partitions into distinct parts congruent to s (mod k) with weight
     <= trunc, marked by their number of parts: one depth-first walk that
@@ -327,6 +338,16 @@ def _partial_rep_true(r: int, limit: int, trunc: int) -> QSeries:
         q_pochhammer(-1, 1, limit - 1, trunc)
         / q_pochhammer(1, 1, limit - 1, trunc)
         * omega_product(limit, None, r, trunc)
+    )
+
+
+def _partial_rep_subtracted(r: int, limit: int, trunc: int) -> QSeries:
+    """The subtracted complement form of the same partial sum (see
+    FORM_DEFAULT): it restricts sizes below limit that it must leave free."""
+    return (
+        overpartition_series(trunc)
+        - omega_product(1, limit - 1, r, trunc) * _tail_series(limit, trunc)
+        + omega_product(1, None, r, trunc)
     )
 
 
@@ -413,6 +434,16 @@ def _rep_size_term(j: int, r: int, trunc: int) -> QSeries:
     )
 
 
+def _rep_size_sum(r: int, trunc: int, most=None) -> QSeries:
+    """Overpartitions whose largest repeating size is at most ``most`` (any
+    by default), summed term by term."""
+    top = trunc // (r + 1)
+    total = QSeries.zero(trunc)
+    for j in range(0, (top if most is None else min(top, most)) + 1):
+        total = total + _rep_size_term(j, r, trunc)
+    return total
+
+
 def _smallest_rep_term(j: int, r: int, trunc: int) -> QSeries:
     """Overpartitions whose smallest positive repeating size is exactly j."""
     return (
@@ -421,6 +452,16 @@ def _smallest_rep_term(j: int, r: int, trunc: int) -> QSeries:
         * q_pochhammer(-1, j + 1, None, trunc)
         / q_pochhammer(1, j, None, trunc)
     )
+
+
+def _smallest_rep_sum(r: int, trunc: int, most=None) -> QSeries:
+    """Overpartitions whose smallest positive repeating size is at most
+    ``most`` (any by default), summed term by term."""
+    top = trunc // (r + 1)
+    total = QSeries.zero(trunc)
+    for j in range(1, (top if most is None else min(top, most)) + 1):
+        total = total + _smallest_rep_term(j, r, trunc)
+    return total
 
 
 def _closed_mes_marked(r: int, trunc: int) -> ZQPoly:
@@ -495,6 +536,16 @@ def _closed_basis_poly(k: int, m: int, s: int, j: int, trunc: int, family: str, 
     return ZQPoly.from_qseries(base, j if overlined else j - 1)
 
 
+def _shifted_binomial_sum(k: int, j: int, trunc: int) -> QSeries:
+    """sum over m >= j of q^(k(m-j)) [m-1 choose j-1] in the base q^k."""
+    total = QSeries.zero(trunc)
+    m = j
+    while k * (m - j) <= trunc:
+        total = total + gaussian_binomial(m - 1, j - 1, k, trunc).shift(k * (m - j))
+        m += 1
+    return total
+
+
 def _closed_euler_lhs(trunc: int) -> ZQPoly:
     total = ZQPoly.zero(trunc)
     j = 0
@@ -517,284 +568,227 @@ def _closed_distinct_gf(k: int, s: int, trunc: int) -> ZQPoly:
 
 # ---------------------------------------------------------------------------
 # catalog
+#
+# A builder returns the equations of one instance as lists of lazy sides.
+# Nothing is computed until a side is evaluated, so each caller pays only
+# for the sides it reads: verify evaluates them all, closed_form only the
+# closed sides of the first equation and brute_force only the first
+# enumeration side.  A value that several sides read is built once.
 
 
 @dataclass(frozen=True)
 class Side:
     label: str
     kind: str  # "closed" | "brute"
-    value: object
+    build: object  # zero-argument callable that computes the side
+
+    def evaluate(self):
+        return self.build()
 
 
-def _build_i1(p, n, with_brute):
-    eq = [Side("closed form", "closed", _closed_i1_sum(n, 0))]
-    if with_brute:
-        eq.append(Side("enumerated excludant totals", "brute",
-                       _sweep_series(1, "sigma_mes", n)))
-    return [eq]
+def _build_i1(p, n):
+    return [[
+        Side("closed form", "closed", lambda: _closed_i1_sum(n, 0)),
+        Side("enumerated excludant totals", "brute", lambda: _sweep_series(1, "sigma_mes", n)),
+    ]]
 
 
-def _build_i2(p, n, with_brute):
-    eq = [Side("closed form", "closed", _closed_sigma_mes(p["r"], n, p["form"]))]
-    if with_brute:
-        eq.append(Side("enumerated excludant totals", "brute",
-                       _sweep_series(p["r"], "sigma_mes", n)))
-    return [eq]
+def _build_i2(p, n):
+    r, form = p["r"], p["form"]
+    return [[
+        Side("closed form", "closed", lambda: _closed_sigma_mes(r, n, form)),
+        Side("enumerated excludant totals", "brute", lambda: _sweep_series(r, "sigma_mes", n)),
+    ]]
 
 
-def _build_i3(p, n, with_brute):
-    eq = [Side("closed form", "closed", _closed_sigma_maes(p["r"], n, p["w_reading"]))]
-    if with_brute:
-        eq.append(Side("enumerated excludant totals", "brute",
-                       _sweep_series(p["r"], "sigma_maes", n)))
-    return [eq]
+def _build_i3(p, n):
+    r, w_reading = p["r"], p["w_reading"]
+    return [[
+        Side("closed form", "closed", lambda: _closed_sigma_maes(r, n, w_reading)),
+        Side("enumerated excludant totals", "brute", lambda: _sweep_series(r, "sigma_maes", n)),
+    ]]
 
 
-def _build_i4(p, n, with_brute):
-    eq = [
-        Side("weighted triangular sum", "closed", _closed_i1_sum(n, 1)),
-        Side("telescoped form", "closed", _closed_bridge_rhs(n, p["form"])),
-    ]
-    if with_brute:
-        eq.append(
-            Side(
-                "enumerated totals minus counts",
-                "brute",
-                _sweep_series(1, "sigma_mes", n) - _sweep_series(1, "counts", n),
-            )
-        )
-    return [eq]
+def _build_i4(p, n):
+    form = p["form"]
+    return [[
+        Side("weighted triangular sum", "closed", lambda: _closed_i1_sum(n, 1)),
+        Side("telescoped form", "closed", lambda: _closed_bridge_rhs(n, form)),
+        Side("enumerated totals minus counts", "brute",
+             lambda: _sweep_series(1, "sigma_mes", n) - _sweep_series(1, "counts", n)),
+    ]]
 
 
-def _build_i5(p, n, with_brute):
+def _build_i5(p, n):
     r = p["r"]
-    total = QSeries.zero(n)
-    j = 0
-    while (r + 1) * j <= n:
-        total = total + _rep_size_term(j, r, n)
-        j += 1
-    eq = [
-        Side("sum over largest repeating size", "closed", total),
-        Side("overpartition series", "closed", overpartition_series(n)),
-    ]
-    if with_brute:
-        eq.append(Side("enumerated counts", "brute", _sweep_series(1, "counts", n)))
-    return [eq]
+    return [[
+        Side("sum over largest repeating size", "closed", lambda: _rep_size_sum(r, n)),
+        Side("overpartition series", "closed", lambda: overpartition_series(n)),
+        Side("enumerated counts", "brute", lambda: _sweep_series(1, "counts", n)),
+    ]]
 
 
-def _build_i6(p, n, with_brute):
+def _build_i6(p, n):
     r, limit = p["r"], p["n"]
-    total = QSeries.zero(n)
-    for j in range(0, limit):
-        if j > 0 and (r + 1) * j > n:
-            break
-        total = total + _rep_size_term(j, r, n)
-    if p["form"] == "corrected":
-        rhs = _partial_rep_true(r, limit, n)
-    else:
-        rhs = (
-            overpartition_series(n)
-            - omega_product(1, limit - 1, r, n) * _tail_series(limit, n)
-            + omega_product(1, None, r, n)
-        )
-    eq = [
-        Side("partial sum over largest repeating size", "closed", total),
-        Side("complement form", "closed", rhs),
-    ]
-    if with_brute:
-        eq.append(
-            Side(
-                "enumerated counts",
-                "brute",
-                _brute_rep_filtered(r, n, lambda big, small: big <= limit - 1),
-            )
-        )
-    return [eq]
+    complement = _partial_rep_true if p["form"] == "corrected" else _partial_rep_subtracted
+    return [[
+        Side("partial sum over largest repeating size", "closed",
+             lambda: _rep_size_sum(r, n, limit - 1)),
+        Side("complement form", "closed", lambda: complement(r, limit, n)),
+        Side("enumerated counts", "brute",
+             lambda: _brute_rep_filtered(r, n, lambda big, small: big <= limit - 1)),
+    ]]
 
 
-def _build_i7(p, n, with_brute):
-    eq = [Side("closed form", "closed", _closed_mes_marked(p["r"], n))]
-    if with_brute:
-        hist = _excludant_sweep(p["r"], n)["mes_hist"]
-        eq.append(Side("enumerated z-marked sum", "brute", ZQPoly.from_counts(hist, n)))
-    return [eq]
-
-
-def _build_i8(p, n, with_brute):
+def _build_i7(p, n):
     r = p["r"]
-    total = QSeries.zero(n)
-    j = 1
-    while (r + 1) * j <= n:
-        total = total + _smallest_rep_term(j, r, n)
-        j += 1
-    rhs = overpartition_series(n) - omega_product(1, None, r, n)
-    eq = [
-        Side("sum over smallest repeating size", "closed", total),
-        Side("complement form", "closed", rhs),
-    ]
-    if with_brute:
-        eq.append(
-            Side(
-                "enumerated counts",
-                "brute",
-                _brute_rep_filtered(r, n, lambda big, small: small > 0),
-            )
-        )
-    return [eq]
+    return [[
+        Side("closed form", "closed", lambda: _closed_mes_marked(r, n)),
+        Side("enumerated z-marked sum", "brute",
+             lambda: ZQPoly.from_counts(_excludant_sweep(r, n)["mes_hist"], n)),
+    ]]
 
 
-def _build_i9(p, n, with_brute):
+def _build_i8(p, n):
+    r = p["r"]
+    return [[
+        Side("sum over smallest repeating size", "closed", lambda: _smallest_rep_sum(r, n)),
+        Side("complement form", "closed",
+             lambda: overpartition_series(n) - omega_product(1, None, r, n)),
+        Side("enumerated counts", "brute",
+             lambda: _brute_rep_filtered(r, n, lambda big, small: small > 0)),
+    ]]
+
+
+def _build_i9(p, n):
     r, limit = p["r"], p["m"]
-    total = QSeries.zero(n)
-    for j in range(1, limit + 1):
-        if (r + 1) * j > n:
-            break
-        total = total + _smallest_rep_term(j, r, n)
-    rhs = overpartition_series(n) - omega_product(1, limit, r, n) * _tail_series(limit + 1, n)
-    eq = [
-        Side("partial sum over smallest repeating size", "closed", total),
-        Side("complement form", "closed", rhs),
+    return [[
+        Side("partial sum over smallest repeating size", "closed",
+             lambda: _smallest_rep_sum(r, n, limit)),
+        Side("complement form", "closed",
+             lambda: overpartition_series(n)
+             - omega_product(1, limit, r, n) * _tail_series(limit + 1, n)),
+        Side("enumerated counts", "brute",
+             lambda: _brute_rep_filtered(r, n, lambda big, small: 0 < small <= limit)),
+    ]]
+
+
+def _build_i10(p, n):
+    r = p["r"]
+    return [[
+        Side("closed form", "closed", lambda: _closed_maes_marked(r, n)),
+        Side("enumerated z-marked sum", "brute",
+             lambda: ZQPoly.from_counts(_excludant_sweep(r, n)["maes_hist"], n)),
+    ]]
+
+
+def _build_i11(p, n):
+    k = p["k"]
+    return [[
+        Side("closed form", "closed", lambda: _closed_class_gf("L", k, n)),
+        Side("class enumeration", "brute", lambda: _brute_class_marked("L", k, n)),
+    ]]
+
+
+def _build_i12(p, n):
+    k = p["k"]
+    return [[
+        Side("closed form", "closed", lambda: _closed_class_gf("F", k, n)),
+        Side("class enumeration", "brute", lambda: _brute_class_marked("F", k, n)),
+    ]]
+
+
+def _build_i13(p, n):
+    k, m, s, j = p["k"], p["m"], p["s"], p["j"]
+    parts = k * (m - 1) + s
+    return [[
+        Side("closed form", "closed", lambda: _closed_basis_poly(k, m, s, j, n, "L", False)),
+        Side("basis enumeration", "brute",
+             lambda: basis_gf("BL", k, parts, j, False, n) + basis_gf("BL", k, parts, j, True, n)),
+    ]]
+
+
+def _build_i14(p, n):
+    k, m, s, j = p["k"], p["m"], p["s"], p["j"]
+    parts = k * (m - 1) + s
+    return [
+        [
+            Side("closed form, plain largest part", "closed",
+                 lambda: _closed_basis_poly(k, m, s, j, n, "F", False)),
+            Side("basis enumeration", "brute", lambda: basis_gf("BF", k, parts, j, False, n)),
+        ],
+        [
+            Side("closed form, overlined largest part", "closed",
+                 lambda: _closed_basis_poly(k, m, s, j, n, "F", True)),
+            Side("basis enumeration", "brute", lambda: basis_gf("BF", k, k * m, j, True, n)),
+        ],
     ]
-    if with_brute:
-        eq.append(
-            Side(
-                "enumerated counts",
-                "brute",
-                _brute_rep_filtered(r, n, lambda big, small: 0 < small <= limit),
-            )
-        )
-    return [eq]
 
 
-def _build_i10(p, n, with_brute):
-    eq = [Side("closed form", "closed", _closed_maes_marked(p["r"], n))]
-    if with_brute:
-        hist = _excludant_sweep(p["r"], n)["maes_hist"]
-        eq.append(Side("enumerated z-marked sum", "brute", ZQPoly.from_counts(hist, n)))
-    return [eq]
-
-
-def _build_i11(p, n, with_brute):
-    eq = [Side("closed form", "closed", _closed_class_gf("L", p["k"], n))]
-    if with_brute:
-        eq.append(Side("class enumeration", "brute", _brute_class_marked("L", p["k"], n)))
-    return [eq]
-
-
-def _build_i12(p, n, with_brute):
-    eq = [Side("closed form", "closed", _closed_class_gf("F", p["k"], n))]
-    if with_brute:
-        eq.append(Side("class enumeration", "brute", _brute_class_marked("F", p["k"], n)))
-    return [eq]
-
-
-def _build_i13(p, n, with_brute):
-    k, m, s, j = p["k"], p["m"], p["s"], p["j"]
-    eq = [Side("closed form", "closed", _closed_basis_poly(k, m, s, j, n, "L", False))]
-    if with_brute:
-        parts = k * (m - 1) + s
-        total = basis_gf("BL", k, parts, j, False, n) + basis_gf("BL", k, parts, j, True, n)
-        eq.append(Side("basis enumeration", "brute", total))
-    return [eq]
-
-
-def _build_i14(p, n, with_brute):
-    k, m, s, j = p["k"], p["m"], p["s"], p["j"]
-    eq1 = [Side("closed form, plain largest part", "closed",
-                _closed_basis_poly(k, m, s, j, n, "F", False))]
-    eq2 = [Side("closed form, overlined largest part", "closed",
-                _closed_basis_poly(k, m, s, j, n, "F", True))]
-    if with_brute:
-        parts = k * (m - 1) + s
-        eq1.append(Side("basis enumeration", "brute", basis_gf("BF", k, parts, j, False, n)))
-        eq2.append(Side("basis enumeration", "brute", basis_gf("BF", k, k * m, j, True, n)))
-    return [eq1, eq2]
-
-
-def _build_i15(p, n, with_brute):
+def _build_i15(p, n):
     return [[
-        Side("series sum", "closed", _closed_euler_lhs(n)),
-        Side("product form", "closed", _closed_euler_rhs(n)),
+        Side("series sum", "closed", lambda: _closed_euler_lhs(n)),
+        Side("product form", "closed", lambda: _closed_euler_rhs(n)),
     ]]
 
 
-def _build_i16(p, n, with_brute):
+def _build_i16(p, n):
     a, b, k = p["A"], p["B"], p["k"]
-    lhs = gaussian_binomial(a, b, k, n)
-    rhs = gaussian_binomial(a - 1, b - 1, k, n) + gaussian_binomial(a - 1, b, k, n).shift(k * b)
     return [[
-        Side("binomial", "closed", lhs),
-        Side("recurrence", "closed", rhs),
+        Side("binomial", "closed", lambda: gaussian_binomial(a, b, k, n)),
+        Side("recurrence", "closed",
+             lambda: gaussian_binomial(a - 1, b - 1, k, n)
+             + gaussian_binomial(a - 1, b, k, n).shift(k * b)),
     ]]
 
 
-def _build_i17(p, n, with_brute):
+def _build_i17(p, n):
     k, j = p["k"], p["j"]
-    total = QSeries.zero(n)
-    m = j
-    while k * (m - j) <= n:
-        total = total + gaussian_binomial(m - 1, j - 1, k, n).shift(k * (m - j))
-        m += 1
-    rhs = QSeries.one(n) / q_pochhammer(1, k, j, n, step=k)
     return [[
-        Side("binomial sum", "closed", total),
-        Side("reciprocal product", "closed", rhs),
+        Side("binomial sum", "closed", lambda: _shifted_binomial_sum(k, j, n)),
+        Side("reciprocal product", "closed",
+             lambda: QSeries.one(n) / q_pochhammer(1, k, j, n, step=k)),
     ]]
 
 
-def _build_i18(p, n, with_brute):
+def _build_i18(p, n):
     k, s = p["k"], p["s"]
-    closed = _closed_distinct_gf(k, s, n)
-    eq1 = [Side("product form", "closed", closed)]
-    eq2 = [Side("product form over z", "closed", closed.z_shift(-1))]
-    if with_brute:
-        eq1.append(Side(
-            "basis elements, overlined smallest part", "brute",
-            _brute_basis_marked(
-                "BL", k, n,
-                lambda node: _length_residue(node.length, k) == s and node.smallest_overlined,
-            ),
-        ))
-        eq1.append(Side("distinct congruent partitions", "brute",
-                        _brute_distinct_marked(k, s, n)))
-        eq2.append(Side(
-            "basis elements, plain smallest part", "brute",
-            _brute_basis_marked(
-                "BL", k, n,
-                lambda node: _length_residue(node.length, k) == s
-                and not node.smallest_overlined,
-            ),
-        ))
-    return [eq1, eq2]
+    closed = cache(lambda: _closed_distinct_gf(k, s, n))
+    return [
+        [
+            Side("product form", "closed", closed),
+            Side("basis elements, overlined smallest part", "brute",
+                 lambda: _brute_basis_residue("BL", k, s, True, n)),
+            Side("distinct congruent partitions", "brute", lambda: _brute_distinct_marked(k, s, n)),
+        ],
+        [
+            Side("product form over z", "closed", lambda: closed().z_shift(-1)),
+            Side("basis elements, plain smallest part", "brute",
+                 lambda: _brute_basis_residue("BL", k, s, False, n)),
+        ],
+    ]
 
 
-def _build_i19(p, n, with_brute):
+def _build_i19(p, n):
     k, s = p["k"], p["s"]
-    closed_k = _closed_distinct_gf(k, k, n)
-    closed_s = _closed_distinct_gf(k, s, n)
-    eq1 = [Side("product form", "closed", closed_k)]
-    eq2 = [Side("product form over z", "closed", closed_s.z_shift(-1))]
-    if with_brute:
-        eq1.append(Side(
-            "basis elements, overlined largest part", "brute",
-            _brute_basis_marked(
-                "BF", k, n,
-                lambda node: _length_residue(node.length, k) == k and node.largest_overlined,
-            ),
-        ))
-        eq1.append(Side("distinct congruent partitions", "brute",
-                        _brute_distinct_marked(k, k, n)))
-        eq2.append(Side(
-            "basis elements, plain largest part", "brute",
-            _brute_basis_marked(
-                "BF", k, n,
-                lambda node: _length_residue(node.length, k) == s
-                and not node.largest_overlined,
-            ),
-        ))
-        eq2.append(Side("distinct congruent partitions over z", "brute",
-                        _brute_distinct_marked(k, s, n).z_shift(-1)))
-    return [eq1, eq2]
+    # Keyed by residue, so the two equations share one value when s == k.
+    closed = cache(lambda residue: _closed_distinct_gf(k, residue, n))
+    distinct = cache(lambda residue: _brute_distinct_marked(k, residue, n))
+    return [
+        [
+            Side("product form", "closed", lambda: closed(k)),
+            Side("basis elements, overlined largest part", "brute",
+                 lambda: _brute_basis_residue("BF", k, k, True, n)),
+            Side("distinct congruent partitions", "brute", lambda: distinct(k)),
+        ],
+        [
+            Side("product form over z", "closed", lambda: closed(s).z_shift(-1)),
+            Side("basis elements, plain largest part", "brute",
+                 lambda: _brute_basis_residue("BF", k, s, False, n)),
+            Side("distinct congruent partitions over z", "brute",
+                 lambda: distinct(s).z_shift(-1)),
+        ],
+    ]
 
 
 def _positive(name):
@@ -823,18 +817,10 @@ class Identity:
     param_checks: dict
     defaults: dict
     grid: object
-    has_brute: bool
     # Entries whose enumeration walks all overpartitions up to the truncation
     # are capped at BRUTE_TRUNC_GUARD; basis-backed and pure-series entries
     # only cost series arithmetic, so they share the larger cap.
-    guard: int = 0
-
-    def __post_init__(self):
-        if self.guard == 0:
-            object.__setattr__(
-                self, "guard",
-                BRUTE_TRUNC_GUARD if self.has_brute else SERIES_TRUNC_GUARD,
-            )
+    guard: int
 
     def normalize(self, params) -> dict:
         params = dict(params or {})
@@ -907,75 +893,82 @@ IDENTITIES = {
     e.id: e
     for e in [
         Identity("I1", "total minimal excludant size, chain length 1",
-                 _build_i1, {}, {}, lambda: [{}], True),
+                 _build_i1, {}, {}, lambda: [{}], BRUTE_TRUNC_GUARD),
         Identity("I2", "total minimal excludant size, chain length r",
                  _build_i2, {"r": _positive("r"), "form": _form_check},
-                 {"form": FORM_DEFAULT}, lambda: _with_forms(_grid_r()), True),
+                 {"form": FORM_DEFAULT}, lambda: _with_forms(_grid_r()),
+                 BRUTE_TRUNC_GUARD),
         Identity("I3", "total maximal excludant size, chain length r",
                  _build_i3, {"r": _positive("r"), "w_reading": _reading_check},
-                 {"w_reading": W_READING_DEFAULT}, _grid_r, True),
+                 {"w_reading": W_READING_DEFAULT}, _grid_r, BRUTE_TRUNC_GUARD),
         Identity("I4", "bridge between the two excludant-total forms",
                  _build_i4, {"form": _form_check}, {"form": FORM_DEFAULT},
-                 lambda: _with_forms([{}]), True),
+                 lambda: _with_forms([{}]), BRUTE_TRUNC_GUARD),
         Identity("I5", "stratification by largest repeating size",
-                 _build_i5, {"r": _positive("r")}, {}, _grid_r, True),
+                 _build_i5, {"r": _positive("r")}, {}, _grid_r, BRUTE_TRUNC_GUARD),
         Identity("I6", "largest repeating size at most n-1",
                  _build_i6, {"r": _positive("r"), "n": _positive("n"), "form": _form_check},
                  {"form": FORM_DEFAULT},
-                 lambda: _with_forms(_grid_rn("n", 8)), True),
+                 lambda: _with_forms(_grid_rn("n", 8)), BRUTE_TRUNC_GUARD),
         Identity("I7", "z-marked minimal excludant size generator",
-                 _build_i7, {"r": _positive("r")}, {}, _grid_r, True),
+                 _build_i7, {"r": _positive("r")}, {}, _grid_r, BRUTE_TRUNC_GUARD),
         Identity("I8", "some positive repeating size",
-                 _build_i8, {"r": _positive("r")}, {}, _grid_r, True),
+                 _build_i8, {"r": _positive("r")}, {}, _grid_r, BRUTE_TRUNC_GUARD),
         Identity("I9", "smallest positive repeating size at most m",
                  _build_i9, {"r": _positive("r"), "m": _positive("m")}, {},
-                 lambda: _grid_rn("m", 8), True),
+                 lambda: _grid_rn("m", 8), BRUTE_TRUNC_GUARD),
         Identity("I10", "z-marked maximal excludant size generator",
-                 _build_i10, {"r": _positive("r")}, {}, _grid_r, True),
+                 _build_i10, {"r": _positive("r")}, {}, _grid_r, BRUTE_TRUNC_GUARD),
         Identity("I11", "L-class z-marked generating function",
-                 _build_i11, {"k": _positive("k")}, {}, lambda: _grid_k(4), True),
+                 _build_i11, {"k": _positive("k")}, {}, lambda: _grid_k(4),
+                 BRUTE_TRUNC_GUARD),
         Identity("I12", "F-class z-marked generating function",
-                 _build_i12, {"k": _positive("k")}, {}, lambda: _grid_k(4), True),
+                 _build_i12, {"k": _positive("k")}, {}, lambda: _grid_k(4),
+                 BRUTE_TRUNC_GUARD),
         Identity("I13", "L-basis polynomial closed form",
                  _build_i13,
                  {"k": _positive("k"), "m": _positive("m"),
                   "s": _positive("s"), "j": _positive("j")},
-                 {}, _grid_kmsj, True, guard=SERIES_TRUNC_GUARD),
+                 {}, _grid_kmsj, SERIES_TRUNC_GUARD),
         Identity("I14", "F-basis polynomial closed forms",
                  _build_i14,
                  {"k": _positive("k"), "m": _positive("m"),
                   "s": _positive("s"), "j": _positive("j")},
-                 {}, _grid_kmsj, True, guard=SERIES_TRUNC_GUARD),
+                 {}, _grid_kmsj, SERIES_TRUNC_GUARD),
         Identity("I15", "Euler product expansion",
-                 _build_i15, {}, {}, lambda: [{}], False),
+                 _build_i15, {}, {}, lambda: [{}], SERIES_TRUNC_GUARD),
         Identity("I16", "q-binomial recurrence",
                  _build_i16,
                  {"A": _positive("A"), "B": _nonneg("B"), "k": _positive("k")},
-                 {}, _grid_abk, False),
+                 {}, _grid_abk, SERIES_TRUNC_GUARD),
         Identity("I17", "geometric q-binomial summation",
                  _build_i17, {"k": _positive("k"), "j": _positive("j")}, {},
                  lambda: [{"k": k, "j": j} for k in (1, 2, 3) for j in range(1, 7)],
-                 False),
+                 SERIES_TRUNC_GUARD),
         Identity("I18", "L-basis subsets against distinct congruent partitions",
-                 _build_i18, {"k": _positive("k"), "s": _positive("s")}, {}, _grid_ks, True),
+                 _build_i18, {"k": _positive("k"), "s": _positive("s")}, {}, _grid_ks,
+                 BRUTE_TRUNC_GUARD),
         Identity("I19", "F-basis subsets against distinct congruent partitions",
-                 _build_i19, {"k": _positive("k"), "s": _positive("s")}, {}, _grid_ks, True),
+                 _build_i19, {"k": _positive("k"), "s": _positive("s")}, {}, _grid_ks,
+                 BRUTE_TRUNC_GUARD),
     ]
 }
 
 
 def _resolve(identity: str, params, trunc: int):
-    """The catalog entry and its normalized parameters, once the truncation
-    has passed the entry's guard."""
+    """The normalized parameters and the lazy equations of one instance,
+    once the truncation has passed the entry's guard."""
     entry = IDENTITIES[identity]
     params = entry.normalize(params)
+    if type(trunc) is not int:  # bool is an int subclass
+        raise ValueError(f"truncation must be an integer (got {trunc!r})")
     if trunc < 0:
         raise ValueError("truncation must be >= 0")
     if trunc > entry.guard:
         raise ValueError(
             f"{entry.id} is limited to truncation {entry.guard} (got {trunc})"
         )
-    return entry, params
+    return params, entry.builder(params, trunc)
 
 
 def _report(identity: str, params: dict, trunc: int, mismatches: list) -> VerificationReport:
@@ -992,35 +985,34 @@ def _report(identity: str, params: dict, trunc: int, mismatches: list) -> Verifi
 def closed_form(identity: str, params=None, trunc: int = 25):
     """The identity's written sides built from series primitives only.
 
-    Returns the pair (lhs, rhs) of the identity's primary equation; for
-    identities whose written left side is itself the enumeration, both
-    elements are the closed form.
+    Returns the first and last closed sides of the identity's primary
+    equation; where that equation has one closed side (its other written
+    side is the enumeration), both elements are that closed form.
     """
-    entry, params = _resolve(identity, params, trunc)
-    sides = entry.builder(params, trunc, False)[0]
-    return sides[0].value, sides[-1].value
+    _, equations = _resolve(identity, params, trunc)
+    closed = [side for side in equations[0] if side.kind == "closed"]
+    first = closed[0].evaluate()
+    return first, closed[-1].evaluate() if len(closed) > 1 else first
 
 
 def brute_force(identity: str, params=None, trunc: int = 25):
     """The identity's combinatorial side, computed by full enumeration."""
-    entry, params = _resolve(identity, params, trunc)
-    if not entry.has_brute:
-        raise ValueError(f"{identity} has no enumeration side")
-    for eq in entry.builder(params, trunc, True):
+    _, equations = _resolve(identity, params, trunc)
+    for eq in equations:
         for side in eq:
             if side.kind == "brute":
-                return side.value
-    raise AssertionError(f"{identity} produced no enumeration side")
+                return side.evaluate()
+    raise ValueError(f"{identity} has no enumeration side")
 
 
 def verify(identity: str, params=None, trunc: int = 25) -> VerificationReport:
     """Compare every side of the identity coefficientwise."""
-    entry, params = _resolve(identity, params, trunc)
+    params, equations = _resolve(identity, params, trunc)
     mismatches = []
-    for eq in entry.builder(params, trunc, True):
-        ref = eq[0]
+    for eq in equations:
+        ref = eq[0].evaluate()
         for other in eq[1:]:
-            mismatches.extend(_diff(ref.value, other.value))
+            mismatches.extend(_diff(ref, other.evaluate()))
     return _report(identity, params, trunc, mismatches)
 
 
@@ -1072,10 +1064,10 @@ def theorem_count_check(which: str, n: int, r: int) -> VerificationReport:
     """
     if which not in ("Thm2_1", "Thm2_2"):
         raise ValueError("which must be Thm2_1 or Thm2_2")
-    if n < 0 or n > BRUTE_TRUNC_GUARD:
+    n = _nonneg("n")(n)
+    r = _positive("r")(r)
+    if n > BRUTE_TRUNC_GUARD:
         raise ValueError(f"n must lie in 0..{BRUTE_TRUNC_GUARD}")
-    if r < 1:
-        raise ValueError("r must be >= 1")
     axis = n + 2
     lhs = Counter()
     rhs = Counter()

@@ -1,13 +1,17 @@
 import json
+from collections import Counter
 
 import pytest
 
+from qpl import identities
 from qpl.core import Overpartition
 from qpl.enumeration import iter_overpartitions
 from qpl.identities import (
     IDENTITIES,
     IDENTITY_IDS,
+    _resolve,
     brute_force,
+    catalog_instances,
     closed_form,
     default_grid,
     overpartition_series,
@@ -181,6 +185,9 @@ def test_bool_parameters_rejected():
     with pytest.raises(ValueError):
         verify("I16", {"A": 3, "B": False, "k": 1}, 10)
     assert verify("I16", {"A": 3, "B": 0, "k": 1}, 10).passed
+    for n, r in ((5, 1.5), (5, True), (True, 1)):
+        with pytest.raises(ValueError):
+            theorem_count_check("Thm2_1", n, r)
 
 
 def test_truncation_guards():
@@ -193,6 +200,57 @@ def test_truncation_guards():
     assert verify("I16", {"A": 4, "B": 2, "k": 1}, 399).passed
     with pytest.raises(ValueError):
         brute_force("I15", {}, 10)  # no enumeration side at all
+    with pytest.raises(ValueError):
+        verify("I1", {}, True)  # bool is an int subclass
+    with pytest.raises(ValueError):
+        verify("I1", {}, 25.0)
+
+
+def test_all_zero_equations_in_the_catalog():
+    # At truncation 25 some I13 and I14 equations compare sides that are all
+    # zero: every basis element they count weighs more than 25, so they pass
+    # without checking anything.  Pinned as a finding, like the subtracted
+    # forms; raising their truncation would change the recorded catalog.
+    equations = 0
+    vacuous = Counter()
+    for identity, params, trunc in catalog_instances(25):
+        for eq in _resolve(identity, params, trunc)[1]:
+            equations += 1
+            if all(side.evaluate().is_zero() for side in eq):
+                vacuous[identity] += 1
+    assert equations == 1011
+    assert vacuous == {"I13": 44, "I14": 95}
+
+
+def _count_calls(monkeypatch, name):
+    calls = Counter()
+    real = getattr(identities, name)
+
+    def counted(*args):
+        calls[args] += 1
+        return real(*args)
+
+    monkeypatch.setattr(identities, name, counted)
+    return calls
+
+
+def test_sides_are_built_once_and_only_when_read(monkeypatch):
+    closed = _count_calls(monkeypatch, "_closed_distinct_gf")
+    distinct = _count_calls(monkeypatch, "_brute_distinct_marked")
+    for identity, params in (("I18", {"k": 3, "s": 2}), ("I19", {"k": 3, "s": 3}),
+                             ("I19", {"k": 3, "s": 1})):
+        closed.clear()
+        distinct.clear()
+        assert verify(identity, params, 12).passed
+        assert set(closed.values()) == set(distinct.values()) == {1}
+    closed.clear()
+    distinct.clear()
+    brute_force("I18", {"k": 3, "s": 2}, 12)  # the first enumeration side only
+    assert not closed and not distinct
+    sigma_mes = _count_calls(monkeypatch, "_closed_sigma_mes")
+    sweep = _count_calls(monkeypatch, "_excludant_sweep")
+    lhs, rhs = closed_form("I2", {"r": 2}, 12)
+    assert lhs is rhs and sum(sigma_mes.values()) == 1 and not sweep
 
 
 def test_report_shape_and_determinism():

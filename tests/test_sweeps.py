@@ -4,8 +4,9 @@ Each sweep visits profiles or basis nodes instead of overpartition objects.
 The object walks the library used before stay here as oracles: they build
 every overpartition or basis element and read its statistics one by one.
 The distinct-part walk is compared with one recursion per part count.
-The last test poisons the closed-form primitives, so a sweep that borrowed
-from the series it is checked against would fail.
+The last tests poison one kind of side's primitives and evaluate the other
+kind: a brute-force side that borrowed from the closed form it is checked
+against, or a closed side that enumerated, would fail.
 """
 
 import sys
@@ -38,6 +39,10 @@ from qpl.identities import (
     _diff_zq,
     _excludant_sweep,
     _report,
+    _resolve,
+    brute_force,
+    catalog_instances,
+    closed_form,
     theorem_count_check,
 )
 from qpl.separable import basis_gf, is_member
@@ -247,17 +252,33 @@ POISONED_METHODS = (
 )
 
 
-def _poison(monkeypatch):
+# The enumerators and sweeps that no closed side may call.
+ENUMERATORS = (
+    "iter_overpartitions",
+    "_class_walk",
+    "_profiles",
+    "weighted_profiles",
+    "basis_nodes",
+    "basis_elements",
+    "distinct_congruent_partitions",
+    "basis_gf",
+    "_excludant_sweep",
+    *(name for name in vars(identities) if name.startswith("_brute_")),
+)
+
+
+def _poison(monkeypatch, functions=POISONED_FUNCTIONS, methods=POISONED_METHODS):
+    """Make every qpl binding of ``functions``, and ``methods``, raise."""
     def boom(*args, **kwargs):
-        raise AssertionError("a brute-force sweep used a closed-form primitive")
+        raise AssertionError("a poisoned primitive was called")
 
     modules = [module for name, module in sys.modules.items()
                if name == "qpl" or name.startswith("qpl.")]
     for module in modules:
-        for name in POISONED_FUNCTIONS:
+        for name in functions:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, boom)
-    for cls, name in POISONED_METHODS:
+    for cls, name in methods:
         monkeypatch.setattr(cls, name, boom)
 
 
@@ -290,3 +311,39 @@ def test_sweeps_borrow_no_closed_form_primitive(monkeypatch):
     with pytest.raises(AssertionError):
         QSeries.one(3) * QSeries.one(3)  # the poison is in place
     assert _sweeps(12) == clean
+
+
+def _catalog_sides(kind, trunc):
+    """Per catalog instance with a side of ``kind``: every such side of every
+    equation, evaluated, and what brute_force or closed_form returns."""
+    identities._SWEEPS.clear()
+    api = brute_force if kind == "brute" else closed_form
+    out = {}
+    for identity, params, n in catalog_instances(trunc):
+        _, equations = _resolve(identity, params, n)
+        sides = [side.evaluate() for eq in equations for side in eq if side.kind == kind]
+        if sides:
+            out[(identity, tuple(sorted(params.items())))] = (sides, api(identity, params, n))
+    return out
+
+
+def test_brute_sides_borrow_no_closed_form_primitive(monkeypatch):
+    monkeypatch.setattr(identities, "_SWEEPS", {})
+    clean = _catalog_sides("brute", 12)
+    assert len({identity for identity, _ in clean}) == 16
+    _poison(monkeypatch)
+    with pytest.raises(AssertionError):
+        closed_form("I1", {}, 3)  # the poison is in place
+    assert _catalog_sides("brute", 12) == clean
+
+
+def test_closed_sides_call_no_enumerator(monkeypatch):
+    monkeypatch.setattr(identities, "_SWEEPS", {})
+    clean = _catalog_sides("closed", 12)
+    assert len(clean) == len(catalog_instances(12))
+    _poison(monkeypatch, ENUMERATORS, ())
+    for identity, params in (("I1", {}), ("I11", {"k": 2}), ("I18", {"k": 2, "s": 1}),
+                             ("I13", {"k": 1, "m": 2, "s": 1, "j": 1})):
+        with pytest.raises(AssertionError):  # the poison is in place
+            brute_force(identity, params, 3)
+    assert _catalog_sides("closed", 12) == clean
