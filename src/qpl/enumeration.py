@@ -288,14 +288,6 @@ def basis_nodes(family: str, k: int, max_weight=None, max_length=None):
             ))
 
 
-def iter_basis_elements(family: str, k: int, max_weight: int):
-    """Basis elements of every part count with weight <= max_weight."""
-    m = 1
-    while m <= max_weight:  # the all-ones element realizes weight m
-        yield from basis_elements(family, k, m, max_weight=max_weight)
-        m += 1
-
-
 def distinct_congruent_partitions(n: int, j: int, k: int, s: int):
     """Partitions of n into exactly j distinct parts congruent to s mod k.
 

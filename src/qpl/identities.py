@@ -54,12 +54,12 @@ from .separable import basis_gf, _length_residue, _overlinable_sizes
 from .series import (
     QSeries,
     ZQPoly,
+    _apply_z_factors,
+    _zq_from_rows,
     gaussian_binomial,
-    omega_factor,
     omega_product,
     one_plus_zq_product,
     q_pochhammer,
-    zq_geometric,
 )
 
 BRUTE_TRUNC_GUARD = 40
@@ -185,16 +185,6 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
             break
         c[i * n] = 2 * i
     return QSeries(c, trunc)
-
-
-def _omega_z_factor(t: int, r: int, trunc: int) -> ZQPoly:
-    """1 + 2 z q^t + 2 z^2 q^(2t) + ... + 2 z^r q^(rt)."""
-    terms = {0: QSeries.one(trunc)}
-    for i in range(1, r + 1):
-        if i * t > trunc:
-            break
-        terms[i] = QSeries.monomial(i * t, 2, trunc)
-    return ZQPoly(terms, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +360,9 @@ def _closed_sigma_mes(r: int, trunc: int, form: str) -> QSeries:
         total = total + (
             _excludant_numerator(n, r, trunc)
             * inner
-            / omega_factor(n, r, trunc)
+            / omega_product(n, 1, r, trunc)
         )
-        partial = partial * omega_factor(n, r, trunc)
+        partial = partial * omega_product(n, 1, r, trunc)
     return total
 
 
@@ -387,7 +377,7 @@ def _closed_sigma_maes(r: int, trunc: int, w_reading: str) -> QSeries:
     total = total + big * QSeries(lamb, trunc)
     partial = QSeries.one(trunc)
     for n in range(1, trunc + 1):
-        w_n = omega_factor(n, r, trunc)
+        w_n = omega_product(n, 1, r, trunc)
         if w_reading == "omega_n":
             w_term = w_n
         elif w_reading == "omega_1_n":
@@ -465,37 +455,40 @@ def _smallest_rep_sum(r: int, trunc: int, most=None) -> QSeries:
 
 
 def _closed_mes_marked(r: int, trunc: int) -> ZQPoly:
-    # Suffix products of the z-marked omega factors, highest base first.
-    suffix = [ZQPoly.one(trunc)] * (trunc + 2)
-    for t in range(trunc, 0, -1):
-        suffix[t] = _omega_z_factor(t, r, trunc) * suffix[t + 1]
-    total = ZQPoly.zero(trunc)
-    j = 0
-    while (r + 1) * j <= trunc:
-        base = QSeries.monomial((r + 1) * j, 1, trunc)
-        base = base * q_pochhammer(-1, 0, j, trunc)
+    # z sum_j q^((r+1)j) (-1;q)_j / (q;q)_j prod_{t > j} omega_t(z), where
+    # omega_t(z) = 1 + 2 z q^t + 2 z^2 q^(2t) + ... + 2 z^r q^(rt).  Summed
+    # Horner-style, innermost term first: add term j to the z-rows, then
+    # apply omega_(j+1), so each factor is applied once, in place.
+    def omega(t):
+        return [(i, i * t, 2) for i in range(1, min(r, trunc // t) + 1)]
+
+    last = trunc // (r + 1)
+    rows = [[0] * (trunc + 1)]
+    for j in range(last + 1):
+        base = QSeries.monomial((r + 1) * j, 1, trunc) * q_pochhammer(-1, 0, j, trunc)
         base = base / q_pochhammer(1, 1, j, trunc)
-        tail = suffix[j + 1] if j + 1 <= trunc else ZQPoly.one(trunc)
-        total = total + ZQPoly.from_qseries(base, 1) * tail
-        j += 1
-    return total
+        rows[0] = [a + b for a, b in zip(rows[0], base.coeffs)]
+        _apply_z_factors(rows, [omega(j + 1)])
+    _apply_z_factors(rows, [omega(t) for t in range(last + 2, trunc + 1)])
+    return _zq_from_rows(rows).z_shift(1)
 
 
 def _closed_maes_marked(r: int, trunc: int) -> ZQPoly:
-    ones = [ZQPoly.one(trunc)] * (trunc + 2)
-    geo = list(ones)
-    for e in range(trunc, 0, -1):
-        ones[e] = (ZQPoly.one(trunc) + ZQPoly.monomial(1, e, 1, trunc)) * ones[e + 1]
-        geo[e] = zq_geometric(e, trunc) * geo[e + 1]
-    total = ZQPoly.zero(trunc)
-    j = 1
-    while (r + 1) * j <= trunc:
+    # z^r sum_{j >= 1} 2 q^((r+1)j) omega_{1..j-1}(q) prod_{e > j} (1 + z q^e)
+    # prod_{e >= j} 1 / (1 - z q^e), summed as in I7; modulo q^(trunc+1)
+    # 1 / (1 - z q^e) is the finite factor 1 + z q^e + z^2 q^(2e) + ...
+    def geometric(e):
+        return [(a, a * e, 1) for a in range(1, trunc // e + 1)]
+
+    last = trunc // (r + 1)
+    rows = [[0] * (trunc + 1)]
+    for j in range(1, last + 1):
         base = QSeries.monomial((r + 1) * j, 2, trunc) * omega_product(1, j - 1, r, trunc)
-        num = ones[j + 1] if j + 1 <= trunc else ZQPoly.one(trunc)
-        den = geo[j] if j <= trunc else ZQPoly.one(trunc)
-        total = total + ZQPoly.from_qseries(base, r) * num * den
-        j += 1
-    return total
+        rows[0] = [a + b for a, b in zip(rows[0], base.coeffs)]
+        _apply_z_factors(rows, [[(1, j + 1, 1)], geometric(j)])
+    _apply_z_factors(rows, [[(1, e, 1)] for e in range(last + 2, trunc + 1)])
+    _apply_z_factors(rows, [geometric(e) for e in range(last + 1, trunc + 1)])
+    return _zq_from_rows(rows).z_shift(r)
 
 
 def _basis_exponent(k: int, m: int, s: int, j: int) -> int:
@@ -555,11 +548,6 @@ def _closed_euler_lhs(trunc: int) -> ZQPoly:
         total = total + ZQPoly.from_qseries(base, j)
         j += 1
     return total
-
-
-def _closed_euler_rhs(trunc: int) -> ZQPoly:
-    one_plus_z = ZQPoly.one(trunc) + ZQPoly.monomial(1, 0, 1, trunc)
-    return one_plus_z * one_plus_zq_product(1, trunc)
 
 
 def _closed_distinct_gf(k: int, s: int, trunc: int) -> ZQPoly:
@@ -728,7 +716,8 @@ def _build_i14(p, n):
 def _build_i15(p, n):
     return [[
         Side("series sum", "closed", lambda: _closed_euler_lhs(n)),
-        Side("product form", "closed", lambda: _closed_euler_rhs(n)),
+        # (1 + z) prod_{e >= 1} (1 + z q^e)
+        Side("product form", "closed", lambda: one_plus_zq_product(0, n)),
     ]]
 
 
@@ -817,9 +806,10 @@ class Identity:
     param_checks: dict
     defaults: dict
     grid: object
-    # Entries whose enumeration walks all overpartitions up to the truncation
-    # are capped at BRUTE_TRUNC_GUARD; basis-backed and pure-series entries
-    # only cost series arithmetic, so they share the larger cap.
+    # I1-I12, I18 and I19 stop at BRUTE_TRUNC_GUARD: they walk profiles, or
+    # every basis element with no length cap (17,392 nodes for BL k=1 at
+    # weight 40, 203,964 at weight 60).  I13 and I14 cap their walk by part
+    # count and I15-I17 are series only, so they get SERIES_TRUNC_GUARD.
     guard: int
 
     def normalize(self, params) -> dict:
@@ -1014,11 +1004,6 @@ def verify(identity: str, params=None, trunc: int = 25) -> VerificationReport:
         for other in eq[1:]:
             mismatches.extend(_diff(ref, other.evaluate()))
     return _report(identity, params, trunc, mismatches)
-
-
-def default_grid(identity: str):
-    """Parameter combinations used by catalog-wide verification."""
-    return IDENTITIES[identity].grid()
 
 
 def catalog_instances(trunc: int, identities=None, overrides=None) -> list:

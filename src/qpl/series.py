@@ -8,11 +8,65 @@ variable z exact (never truncated) while q stays truncated at N.
 Infinite products are exact here, not approximate: a factor congruent to 1
 modulo q^(N+1) is simply skipped, so the finitely many remaining factors
 determine the truncated product completely.
+
+Every product or quotient by a sparse factor 1 + sum(c q^e), or by a
+z-marked factor 1 + sum(c z^a q^e), goes through one in-place primitive.
 """
 
 from __future__ import annotations
 
-INFINITY = None  # sentinel for unbounded factor/term counts
+
+def _check_ints(**values):
+    """Reject non-int arguments (floats, bools, ...) and a negative trunc or
+    count; a count may be None, for no bound."""
+    for name, value in values.items():
+        if type(value) is not int and not (name == "count" and value is None):
+            raise ValueError(f"{name} must be an int (got {value!r})")  # bools too
+        if name in ("trunc", "count") and (value or 0) < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
+def _apply_factors(coeffs, factors, divide=False):
+    """Multiply the truncated series ``coeffs`` in place by each sparse
+    factor 1 + sum(c q^e), given as (e, c) pairs in ascending e, every
+    e >= 1; or divide it by each.  A product runs from the top index down
+    and a quotient from the bottom up, so every entry read is final."""
+    n = len(coeffs) - 1
+    for factor in factors:
+        if len(factor) == 1:  # one tight loop for (1 + c q^e)
+            ((e, c),) = factor
+            if divide:
+                for j in range(e, n + 1):
+                    coeffs[j] -= c * coeffs[j - e]
+            else:
+                for j in range(n, e - 1, -1):
+                    coeffs[j] += c * coeffs[j - e]
+            continue
+        sign = -1 if divide else 1
+        for m in range(n + 1) if divide else range(n, -1, -1):
+            b = sign * coeffs[m]
+            if b:
+                for e, c in factor:
+                    if m + e > n:
+                        break
+                    coeffs[m + e] += c * b
+
+
+def _apply_z_factors(rows, factors):
+    """Multiply the z-rows ``rows`` (``rows[a]``: the truncated series at
+    z^a) in place by each sparse factor 1 + sum(c z^a q^e), given as
+    (a, e, c) triples, every a >= 1.  Rows are read from the top z-degree
+    down, so each is read before anything is added to it."""
+    n = len(rows[0]) - 1
+    for factor in factors:
+        top = len(rows)
+        rows.extend([0] * (n + 1) for _ in range(max((t[0] for t in factor), default=0)))
+        for z in range(top - 1, -1, -1):
+            for a, e, c in factor:
+                row = rows[z + a]
+                row[e:] = [x + c * y for x, y in zip(row[e:], rows[z])]
+        while len(rows) > 1 and not any(rows[-1]):
+            rows.pop()
 
 
 class QSeries:
@@ -29,8 +83,7 @@ class QSeries:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit trunc")
             trunc = len(coeffs) - 1
-        if trunc < 0:
-            raise ValueError("truncation order must be >= 0")
+        _check_ints(trunc=trunc)
         if len(coeffs) > trunc + 1:
             raise ValueError("coefficient list longer than truncation order")
         coeffs.extend([0] * (trunc + 1 - len(coeffs)))
@@ -49,6 +102,7 @@ class QSeries:
 
     @classmethod
     def zero(cls, trunc: int) -> "QSeries":
+        _check_ints(trunc=trunc)
         return cls._make((0,) * (trunc + 1), trunc)
 
     @classmethod
@@ -57,6 +111,7 @@ class QSeries:
 
     @classmethod
     def monomial(cls, exponent: int, coeff: int, trunc: int) -> "QSeries":
+        _check_ints(exponent=exponent, coeff=coeff, trunc=trunc)
         c = [0] * (trunc + 1)
         if 0 <= exponent <= trunc:
             c[exponent] = coeff
@@ -139,6 +194,7 @@ class QSeries:
 
     def shift(self, exponent: int) -> "QSeries":
         """Multiply by q^exponent, dropping overflow past the truncation."""
+        _check_ints(exponent=exponent)
         if exponent < 0:
             raise ValueError("shift exponent must be >= 0")
         n = self.trunc
@@ -148,26 +204,19 @@ class QSeries:
         return QSeries._make(out, n)
 
     def __truediv__(self, other):
-        """Exact b with other * b = self; other needs a unit constant.  Only
-        the divisor's nonzero terms are visited: O(N * nnz), not O(N^2)."""
+        """Exact b with other * b = self; other needs a unit constant u.
+        Divides u * self by the one sparse factor u * other, visiting only
+        the divisor's nonzero terms: O(N * nnz), not O(N^2)."""
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check(other)
-        d = other.coeffs
-        if d[0] not in (1, -1):
+        u = other.coeffs[0]
+        if u not in (1, -1):
             raise ValueError("constant term must be +1 or -1 to invert")
-        n = self.trunc
-        inv0 = d[0]
-        terms = [(i, c) for i, c in enumerate(d) if c and i]
-        out = list(self.coeffs)
-        for m in range(n + 1):
-            bm = out[m] = inv0 * out[m]
-            if bm:
-                for i, c in terms:
-                    if m + i > n:
-                        break
-                    out[m + i] -= c * bm
-        return QSeries._make(out, n)
+        out = [u * c for c in self.coeffs]
+        factor = [(e, u * c) for e, c in enumerate(other.coeffs) if c and e]
+        _apply_factors(out, [factor], divide=True)
+        return QSeries._make(out, self.trunc)
 
     def reciprocal(self) -> "QSeries":
         """Series b with self * b = 1 mod q^(trunc+1); needs unit constant."""
@@ -186,58 +235,37 @@ class QSeries:
 def q_pochhammer(coef: int, offset: int, count, trunc: int, step: int = 1) -> QSeries:
     """Product of (1 - coef * q^(offset + i*step)) for i = 0..count-1.
 
-    ``count=INFINITY`` (None) keeps multiplying until the factor exponent
-    exceeds the truncation, which is exact modulo q^(trunc+1).  ``step`` > 1
-    gives products in the base q^step.
+    ``count=None`` keeps multiplying until the factor exponent exceeds the
+    truncation, which is exact modulo q^(trunc+1).  ``step`` > 1 gives
+    products in the base q^step.
     """
+    _check_ints(coef=coef, offset=offset, count=count, trunc=trunc, step=step)
     if offset < 0 or step < 1:
         raise ValueError("offset must be >= 0 and step >= 1")
-    out = [0] * (trunc + 1)
-    out[0] = 1
-    i = 0
-    while count is None or i < count:
-        e = offset + i * step
-        if e > trunc:
-            break
-        if e == 0:
-            out = [c * (1 - coef) for c in out]
-        else:
-            for j in range(trunc, e - 1, -1):
-                out[j] -= coef * out[j - e]
-        i += 1
-    return QSeries._make(out, trunc)
-
-
-def omega_factor(t: int, r: int, trunc: int) -> QSeries:
-    """1 + 2 q^t + 2 q^(2t) + ... + 2 q^(rt) truncated."""
-    if t < 1 or r < 1:
-        raise ValueError("t and r must be >= 1")
-    out = [0] * (trunc + 1)
-    out[0] = 1
-    for i in range(1, r + 1):
-        if i * t > trunc:
-            break
-        out[i * t] = 2
+    exponents = range(offset, trunc + 1, step)[:count]
+    out = [1] + [0] * trunc
+    if exponents and exponents[0] == 0:  # the constant factor (1 - coef)
+        out[0], exponents = 1 - coef, exponents[1:]
+    _apply_factors(out, [((e, -coef),) for e in exponents])
     return QSeries._make(out, trunc)
 
 
 def omega_product(m: int, count, r: int, trunc: int) -> QSeries:
-    """Product of omega factors at t = m, m+1, ..., m+count-1.
+    """Product of the omega factors 1 + 2 q^t + 2 q^(2t) + ... + 2 q^(rt)
+    at t = m, m+1, ..., m+count-1.
 
-    An empty product (count=0) is 1; ``count=INFINITY`` stops once m+i
-    exceeds the truncation.  ``count=1`` is the single factor itself.
+    An empty product (count=0) is 1; ``count=None`` stops once m+i exceeds
+    the truncation.  ``count=1`` is the single factor itself.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    acc = QSeries.one(trunc)
-    i = 0
-    while count is None or i < count:
-        t = m + i
-        if t > trunc:
-            break
-        acc = acc * omega_factor(t, r, trunc)
-        i += 1
-    return acc
+    _check_ints(m=m, count=count, r=r, trunc=trunc)
+    if m < 1 or r < 1:
+        raise ValueError("m and r must be >= 1")
+    out = [1] + [0] * trunc
+    _apply_factors(out, [
+        [(i * t, 2) for i in range(1, min(r, trunc // t) + 1)]
+        for t in range(m, trunc + 1)[:count]
+    ])
+    return QSeries._make(out, trunc)
 
 
 def gaussian_binomial(a: int, b: int, k: int, trunc=None) -> QSeries:
@@ -247,18 +275,19 @@ def gaussian_binomial(a: int, b: int, k: int, trunc=None) -> QSeries:
     coefficients of degree k*b*(a-b).  Computed at that exact degree by
     default, or at the requested truncation (exact either way).
     """
+    if trunc is None:
+        trunc = k * b * (a - b) if a >= b >= 0 else 0
+    _check_ints(a=a, b=b, k=k, trunc=trunc)
     if k < 1:
         raise ValueError("k must be >= 1")
-    degree = k * b * (a - b) if a >= b >= 0 else 0
-    if trunc is None:
-        trunc = degree
     if not a >= b >= 0:
         return QSeries.zero(trunc)
-    if b == 0 or b == a:
-        return QSeries.one(trunc)
-    num = q_pochhammer(1, k * (a - b + 1), b, trunc, step=k)
-    den = q_pochhammer(1, k, b, trunc, step=k)
-    return num / den
+    b = min(b, a - b)  # the coefficient is symmetric in b and a - b
+    # (q^(k(a-b+1)); q^k)_b / (q^k; q^k)_b, one factor (1 - q^e) at a time
+    out = [1] + [0] * trunc
+    _apply_factors(out, [((k * (a - b + i), -1),) for i in range(1, b + 1)])
+    _apply_factors(out, [((k * i, -1),) for i in range(1, b + 1)], divide=True)
+    return QSeries._make(out, trunc)
 
 
 class ZQPoly:
@@ -271,9 +300,10 @@ class ZQPoly:
     __slots__ = ("trunc", "terms")
 
     def __init__(self, terms, trunc: int):
+        _check_ints(trunc=trunc)
         clean = {}
         for z, s in dict(terms).items():
-            z = int(z)
+            _check_ints(z=z)
             if z < 0:
                 raise ValueError("z-degree must be >= 0")
             if s.trunc != trunc:
@@ -345,6 +375,8 @@ class ZQPoly:
     def __add__(self, other):
         if isinstance(other, (int, QSeries)):
             other = _lift(other, self.trunc)
+        elif not isinstance(other, ZQPoly):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for z, s in other.terms.items():
@@ -357,8 +389,8 @@ class ZQPoly:
         return ZQPoly({z: -s for z, s in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, QSeries)):
-            other = _lift(other, self.trunc)
+        if not isinstance(other, (int, QSeries, ZQPoly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -371,6 +403,8 @@ class ZQPoly:
             return ZQPoly(
                 {z: s * other for z, s in self.terms.items()}, self.trunc
             )
+        if not isinstance(other, ZQPoly):
+            return NotImplemented
         self._check(other)
         terms = {}
         for za, sa in self.terms.items():
@@ -390,6 +424,7 @@ class ZQPoly:
 
     def z_shift(self, delta: int) -> "ZQPoly":
         """Multiply by z^delta; negative delta must not create z^(<0) terms."""
+        _check_ints(delta=delta)
         if delta < 0 and any(z + delta < 0 for z in self.terms):
             raise ValueError("z-shift would produce a negative z-degree")
         return ZQPoly({z + delta: s for z, s in self.terms.items()}, self.trunc)
@@ -427,26 +462,18 @@ def _lift(value, trunc):
     return ZQPoly.from_qseries(value)
 
 
+def _zq_from_rows(rows) -> ZQPoly:
+    """The ZQPoly whose z^a coefficient is the series ``rows[a]``."""
+    trunc = len(rows[0]) - 1
+    return ZQPoly({a: QSeries._make(row, trunc) for a, row in enumerate(rows)}, trunc)
+
+
 def one_plus_zq_product(offset: int, trunc: int, step: int = 1) -> ZQPoly:
-    """Product of (1 + z q^(offset + i*step)) over all exponents <= trunc."""
-    if offset < 1 or step < 1:
-        raise ValueError("offset and step must be >= 1")
-    acc = ZQPoly.one(trunc)
-    e = offset
-    while e <= trunc:
-        factor = ZQPoly.one(trunc) + ZQPoly.monomial(1, e, 1, trunc)
-        acc = acc * factor
-        e += step
-    return acc
-
-
-def zq_geometric(exponent: int, trunc: int) -> ZQPoly:
-    """1 / (1 - z q^exponent) truncated in q; exact in z."""
-    if exponent < 1:
-        raise ValueError("exponent must be >= 1")
-    terms = {}
-    a = 0
-    while a * exponent <= trunc:
-        terms[a] = QSeries.monomial(a * exponent, 1, trunc)
-        a += 1
-    return ZQPoly(terms, trunc)
+    """Product of (1 + z q^(offset + i*step)) over all exponents <= trunc.
+    An offset of 0 includes the factor (1 + z)."""
+    _check_ints(offset=offset, trunc=trunc, step=step)
+    if offset < 0 or step < 1:
+        raise ValueError("offset must be >= 0 and step >= 1")
+    rows = [[1] + [0] * trunc]
+    _apply_z_factors(rows, [((1, e, 1),) for e in range(offset, trunc + 1, step)])
+    return _zq_from_rows(rows)

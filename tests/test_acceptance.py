@@ -22,7 +22,6 @@ from qpl.enumeration import (
     ClassTag,
     basis_elements,
     distinct_congruent_partitions,
-    iter_basis_elements,
     iter_overpartitions,
     overpartitions_of,
 )
@@ -46,6 +45,12 @@ from qpl.separable import (
     _length_residue,
 )
 from qpl.series import QSeries, gaussian_binomial, q_pochhammer
+
+
+def iter_basis_elements(family, k, max_weight):
+    """Basis elements of every part count with weight <= max_weight."""
+    for m in range(1, max_weight + 1):  # the all-ones element has weight m
+        yield from basis_elements(family, k, m, max_weight=max_weight)
 
 
 def _report(number, ok, detail=""):

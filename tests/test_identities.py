@@ -13,7 +13,6 @@ from qpl.identities import (
     brute_force,
     catalog_instances,
     closed_form,
-    default_grid,
     overpartition_series,
     theorem_count_check,
     verify,
@@ -197,6 +196,11 @@ def test_truncation_guards():
         brute_force("I2", {"r": 1}, 41)
     with pytest.raises(ValueError):
         verify("I15", {}, 401)
+    # I18 and I19 walk every basis element, with no length cap, so they stop
+    # at 40 too; I13 and I14 cap their walk by part count and get 400.
+    with pytest.raises(ValueError):
+        verify("I18", {"k": 1, "s": 1}, 41)
+    assert verify("I13", {"k": 1, "m": 2, "s": 1, "j": 1}, 400).passed
     assert verify("I16", {"A": 4, "B": 2, "k": 1}, 399).passed
     with pytest.raises(ValueError):
         brute_force("I15", {}, 10)  # no enumeration side at all
@@ -273,6 +277,10 @@ def test_reports_are_hashable():
     assert report.params == (("form", "subtracted"), ("n", 2), ("r", 1))
     assert report.to_dict()["params"] == {"form": "subtracted", "n": 2, "r": 1}
     assert hash(report) == hash(verify("I6", {"n": 2, "r": 1}, 12))
+
+
+def default_grid(identity):
+    return IDENTITIES[identity].grid()
 
 
 def test_default_grids_cover_documented_ranges():

@@ -6,7 +6,6 @@ from qpl.enumeration import (
     ClassTag,
     basis_elements,
     distinct_congruent_partitions,
-    iter_basis_elements,
     iter_overpartitions,
 )
 from qpl.separable import (
@@ -26,6 +25,12 @@ from qpl.separable import (
 from qpl.series import ZQPoly, gaussian_binomial, QSeries
 
 O = Overpartition.parse
+
+
+def iter_basis_elements(family, k, max_weight):
+    """Basis elements of every part count with weight <= max_weight."""
+    for m in range(1, max_weight + 1):  # the all-ones element has weight m
+        yield from basis_elements(family, k, m, max_weight=max_weight)
 
 
 # -- membership and basis checks --------------------------------------------

@@ -5,12 +5,13 @@ import pytest
 from qpl.series import (
     QSeries,
     ZQPoly,
+    _apply_factors,
+    _apply_z_factors,
+    _zq_from_rows,
     gaussian_binomial,
-    omega_factor,
     omega_product,
     one_plus_zq_product,
     q_pochhammer,
-    zq_geometric,
 )
 
 
@@ -63,6 +64,64 @@ def test_product_and_quotient_match_dense_oracles():
                 assert quotient == a * _dense_reciprocal(d)
                 assert quotient * d == a
                 assert d * quotient == a
+
+
+def _random_factor(rng, n, terms, z=False):
+    """A sparse factor 1 + sum(c q^e) (1 + sum(c z^a q^e) with ``z``) as the
+    primitive takes it, terms in ascending e, every e >= 1 (a >= 1, e >= 0)."""
+    exponents = sorted(rng.sample(range(0 if z else 1, n + 6), terms))
+    coeffs = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in exponents]
+    if z:
+        return [(rng.randrange(1, 4), e, c) for e, c in zip(exponents, coeffs)]
+    return list(zip(exponents, coeffs))
+
+
+def _factor_series(factor, n, unit=1):
+    """unit * (1 + sum(c q^e)) as a QSeries, terms past q^n dropped."""
+    coeffs = [unit] + [0] * n
+    for e, c in factor:
+        if e <= n:
+            coeffs[e] += unit * c
+    return QSeries(coeffs, n)
+
+
+def test_sparse_factor_primitive_matches_dense_oracles():
+    rng = random.Random(20261019)
+    for n in (0, 1, 9, 40):
+        for terms in (1, 2, 4):
+            for sparse in (False, True):
+                a = _random_series(rng, n, sparse)
+                factors = [_random_factor(rng, n, terms) for _ in range(3)]
+                product, quotient = list(a.coeffs), list(a.coeffs)
+                _apply_factors(product, factors)
+                _apply_factors(quotient, factors, divide=True)
+                by_star, by_slash, want_product, want_quotient = a, a, a, a
+                for f in (_factor_series(f, n) for f in factors):
+                    by_star, by_slash = by_star * f, by_slash / f
+                    want_product = _convolve(want_product, f)
+                    want_quotient = _convolve(want_quotient, _dense_reciprocal(f))
+                assert QSeries(product, n) == by_star == want_product
+                assert QSeries(quotient, n) == by_slash == want_quotient
+                for unit in (1, -1):
+                    divisor = _factor_series(factors[0], n, unit)
+                    single = list(a.coeffs)
+                    _apply_factors(single, factors[:1], divide=True)
+                    assert a / divisor == _convolve(a, _dense_reciprocal(divisor))
+                    assert a / divisor == QSeries(single, n) * unit
+
+
+def test_z_factor_primitive_matches_zq_product():
+    rng = random.Random(20261020)
+    for n in (0, 1, 9, 30):
+        for terms in (1, 2, 4):
+            rows = [[rng.randrange(-5, 6) for _ in range(n + 1)] for _ in range(rng.randrange(1, 4))]
+            want = _zq_from_rows([list(row) for row in rows])
+            factors = [_random_factor(rng, n, terms, z=True) for _ in range(3)]
+            _apply_z_factors(rows, factors)
+            for factor in factors:
+                one = ZQPoly.one(n)
+                want = want * sum((ZQPoly.monomial(a, e, c, n) for a, e, c in factor), one)
+            assert _zq_from_rows(rows) == want
 
 
 def test_quotient_errors():
@@ -154,10 +213,15 @@ def test_product_of_series_and_reciprocal_is_one():
 
 
 def test_omega_factor_and_product():
-    assert omega_factor(1, 1, 4).coeffs == (1, 2, 0, 0, 0)
+    assert omega_product(1, 1, 1, 4).coeffs == (1, 2, 0, 0, 0)  # one factor
+    assert omega_product(3, 1, 2, 7).coeffs == (1, 0, 0, 2, 0, 0, 2, 0)
     assert omega_product(1, 0, 3, 6) == QSeries.one(6)
-    assert omega_product(1, 1, 1, 4) == omega_factor(1, 1, 4)
     assert omega_product(1, 2, 2, 4).coeffs == (1, 2, 4, 4, 6)
+    # count=None runs up to the truncation: prod over t = 2..6 of 1 + 2q^t
+    expected = QSeries.one(6)
+    for t in range(2, 7):
+        expected = expected * QSeries.monomial(t, 2, 6) + expected
+    assert omega_product(2, None, 1, 6) == omega_product(2, 5, 1, 6) == expected
 
 
 def test_gaussian_binomial_values():
@@ -235,12 +299,56 @@ def test_one_plus_zq_product():
     assert p.coeff(2, 3) == 1
     stepped = one_plus_zq_product(1, 5, step=2)
     assert stepped.coeff(1, 3) == 1 and stepped.coeff(1, 2) == 0
+    # offset 0 adds the factor (1 + z)
+    one_plus_z = ZQPoly.one(3) + ZQPoly.monomial(1, 0, 1, 3)
+    assert one_plus_zq_product(0, 3) == one_plus_z * p
 
 
 def test_zq_geometric():
-    g = zq_geometric(2, 7)
+    # 1 / (1 - z q^2) modulo q^8 is the finite factor 1 + z q^2 + z^2 q^4 + z^3 q^6
+    rows = [[1] + [0] * 7]
+    _apply_z_factors(rows, [[(a, 2 * a, 1) for a in range(1, 4)]])
+    g = _zq_from_rows(rows)
     assert [g.coeff(a, 2 * a) for a in range(4)] == [1, 1, 1, 1]
     assert g.coeff(1, 3) == 0
+    assert g * (ZQPoly.one(7) - ZQPoly.monomial(1, 2, 1, 7)) == ZQPoly.one(7)
+
+
+def test_kernel_rejects_floats_and_bools():
+    s = QSeries.one(3)
+    calls = [
+        lambda: QSeries.monomial(0, 1.5, 3),
+        lambda: QSeries.monomial(True, 1, 3),
+        lambda: QSeries([1, 2], True),
+        lambda: QSeries.zero(True),
+        lambda: QSeries.zero(-1),
+        lambda: QSeries.one(3.0),
+        lambda: s.shift(1.0),
+        lambda: q_pochhammer(1.5, 1, 2, 4),
+        lambda: q_pochhammer(1, 1, 2.0, 4),
+        lambda: q_pochhammer(1, 1, -1, 4),
+        lambda: q_pochhammer(1, True, 2, 4),
+        lambda: omega_product(1, None, 1.5, 4),
+        lambda: omega_product(1, None, 1, False),
+        lambda: gaussian_binomial(4, 2, 1, True),
+        lambda: gaussian_binomial(4.0, 2, 1),
+        lambda: one_plus_zq_product(1, 4, step=True),
+        lambda: ZQPoly({1.7: s}, 3),
+        lambda: ZQPoly({True: s}, 3),
+        lambda: ZQPoly.zero(3.0),
+        lambda: ZQPoly.one(3).z_shift(True),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_zq_foreign_operand_is_a_type_error():
+    p = ZQPoly.one(3)
+    for op in (lambda: p + 1.5, lambda: 1.5 + p, lambda: p - 1.5, lambda: 1.5 - p,
+               lambda: p * 1.5, lambda: 1.5 * p, lambda: p * "1"):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_dump_format():
