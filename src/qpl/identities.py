@@ -24,7 +24,7 @@ Identity overview:
   I14  F-basis polynomials: the plain and overlined closed forms
   I15  Euler's product expansion of sum z^j q^(j choose 2) / (q;q)_j
   I16  q-binomial recurrence in the base q^k
-  I17  geometric summation of shifted q-binomials
+  I17  summation of shifted q-binomials
   I18  L-basis subsets against distinct congruent partitions
   I19  F-basis subsets against distinct congruent partitions
 """
@@ -35,6 +35,7 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
+from itertools import zip_longest
 from math import comb
 
 from .core import (
@@ -54,8 +55,8 @@ from .separable import basis_gf, _length_residue, _overlinable_sizes
 from .series import (
     QSeries,
     ZQPoly,
+    _apply_factors,
     _apply_z_factors,
-    _zq_from_rows,
     gaussian_binomial,
     omega_product,
     one_plus_zq_product,
@@ -133,34 +134,18 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _diff_series(ref: QSeries, other: QSeries):
-    out = []
-    for i, (a, b) in enumerate(zip(ref.coeffs, other.coeffs)):
-        if a != b:
-            out.append(Mismatch(i, None, a, b))
-    return out
-
-
-def _diff_zq(ref: ZQPoly, other: ZQPoly):
-    out = []
-    zero = QSeries.zero(ref.trunc)
-    for z in sorted(set(ref.terms) | set(other.terms)):
-        a = ref.terms.get(z, zero)
-        b = other.terms.get(z, zero)
-        for i, (ca, cb) in enumerate(zip(a.coeffs, b.coeffs)):
-            if ca != cb:
-                out.append(Mismatch(i, z, ca, cb))
-    return out
-
-
 def _diff(ref, other):
-    if isinstance(ref, QSeries) and isinstance(other, ZQPoly):
-        ref = ZQPoly.from_qseries(ref)
-    if isinstance(other, QSeries) and isinstance(ref, ZQPoly):
-        other = ZQPoly.from_qseries(other)
-    if isinstance(ref, QSeries):
-        return _diff_series(ref, other)
-    return _diff_zq(ref, other)
+    """The coefficients where two sides differ, walked z-row by z-row (a
+    QSeries is the single row z^0); z is None when both are QSeries."""
+    marked = isinstance(ref, ZQPoly) or isinstance(other, ZQPoly)
+    left, right = ((s.coeffs,) if isinstance(s, QSeries) else s.rows for s in (ref, other))
+    out = []
+    for z, (a, b) in enumerate(zip_longest(left, right, fillvalue=(0,) * (ref.trunc + 1))):
+        if a != b:  # one tuple comparison passes over an equal row
+            for i, (ca, cb) in enumerate(zip(a, b)):
+                if ca != cb:
+                    out.append(Mismatch(i, z if marked else None, ca, cb))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +396,16 @@ def _closed_bridge_rhs(trunc: int, form: str) -> QSeries:
     return total
 
 
+def _rep_size_head(j: int, r: int, trunc: int) -> QSeries:
+    """q^((r+1)j) (-1;q)_j / (q;q)_j: the sizes up to j, with j repeated
+    more than r times (1 at j = 0)."""
+    base = QSeries.monomial((r + 1) * j, 1, trunc) * q_pochhammer(-1, 0, j, trunc)
+    return base / q_pochhammer(1, 1, j, trunc)
+
+
 def _rep_size_term(j: int, r: int, trunc: int) -> QSeries:
     """Overpartitions whose largest repeating size is exactly j."""
-    if j == 0:
-        return omega_product(1, None, r, trunc)
-    base = QSeries.monomial((r + 1) * j, 1, trunc)
-    return (
-        base
-        * q_pochhammer(-1, 0, j, trunc)
-        / q_pochhammer(1, 1, j, trunc)
-        * omega_product(j + 1, None, r, trunc)
-    )
+    return _rep_size_head(j, r, trunc) * omega_product(j + 1, None, r, trunc)
 
 
 def _rep_size_sum(r: int, trunc: int, most=None) -> QSeries:
@@ -465,30 +449,26 @@ def _closed_mes_marked(r: int, trunc: int) -> ZQPoly:
     last = trunc // (r + 1)
     rows = [[0] * (trunc + 1)]
     for j in range(last + 1):
-        base = QSeries.monomial((r + 1) * j, 1, trunc) * q_pochhammer(-1, 0, j, trunc)
-        base = base / q_pochhammer(1, 1, j, trunc)
-        rows[0] = [a + b for a, b in zip(rows[0], base.coeffs)]
+        rows[0] = [a + b for a, b in zip(rows[0], _rep_size_head(j, r, trunc).coeffs)]
         _apply_z_factors(rows, [omega(j + 1)])
     _apply_z_factors(rows, [omega(t) for t in range(last + 2, trunc + 1)])
-    return _zq_from_rows(rows).z_shift(1)
+    return ZQPoly._make([[0] * (trunc + 1)] + rows, trunc)
 
 
 def _closed_maes_marked(r: int, trunc: int) -> ZQPoly:
     # z^r sum_{j >= 1} 2 q^((r+1)j) omega_{1..j-1}(q) prod_{e > j} (1 + z q^e)
-    # prod_{e >= j} 1 / (1 - z q^e), summed as in I7; modulo q^(trunc+1)
-    # 1 / (1 - z q^e) is the finite factor 1 + z q^e + z^2 q^(2e) + ...
-    def geometric(e):
-        return [(a, a * e, 1) for a in range(1, trunc // e + 1)]
-
+    # prod_{e >= j} 1 / (1 - z q^e), summed as in I7, each 1 / (1 - z q^e)
+    # applied as a quotient
     last = trunc // (r + 1)
     rows = [[0] * (trunc + 1)]
     for j in range(1, last + 1):
         base = QSeries.monomial((r + 1) * j, 2, trunc) * omega_product(1, j - 1, r, trunc)
         rows[0] = [a + b for a, b in zip(rows[0], base.coeffs)]
-        _apply_z_factors(rows, [[(1, j + 1, 1)], geometric(j)])
+        _apply_z_factors(rows, [[(1, j + 1, 1)]])
+        _apply_z_factors(rows, [[(1, j, -1)]], divide=True)
     _apply_z_factors(rows, [[(1, e, 1)] for e in range(last + 2, trunc + 1)])
-    _apply_z_factors(rows, [geometric(e) for e in range(last + 1, trunc + 1)])
-    return _zq_from_rows(rows).z_shift(r)
+    _apply_z_factors(rows, [[(1, e, -1)] for e in range(last + 1, trunc + 1)], divide=True)
+    return ZQPoly._make([[0] * (trunc + 1)] * r + rows, trunc)
 
 
 def _basis_exponent(k: int, m: int, s: int, j: int) -> int:
@@ -498,25 +478,24 @@ def _basis_exponent(k: int, m: int, s: int, j: int) -> int:
 
 
 def _closed_class_gf(family: str, k: int, trunc: int) -> ZQPoly:
-    total = ZQPoly.one(trunc)
-    for s in range(1, k + 1):
-        m = 1
-        while s + k * (m - 1) <= trunc:
-            for j in range(1, m + 1):
-                e = _basis_exponent(k, m, s, j)
-                if e > trunc:
-                    break
-                base = QSeries.monomial(e, 1, trunc)
-                base = base / q_pochhammer(1, 1, k * (m - 1) + s, trunc)
-                base = base * gaussian_binomial(m - 1, j - 1, k, trunc)
-                # Every L_k term carries z^(j-1) and z^j.  F_k terms carry
-                # z^(j-1); at s = k the overlined-largest-part term has the
-                # same base (parts k*m, exponent k*C(j,2) + k*m) and adds z^j.
-                total = total + ZQPoly.from_qseries(base, j - 1)
-                if family == "L" or s == k:
-                    total = total + ZQPoly.from_qseries(base, j)
-            m += 1
-    return total
+    # 1 + sum over the part count L = k(m-1) + s of B_L / (q;q)_L, where B_L
+    # sums the basis polynomials with L parts (I13, I14) over their largest
+    # part j.  Summed Horner-style from the largest L down: add B_L, then
+    # divide every z-row by (1 - q^L).
+    total = ZQPoly.zero(trunc)
+    for parts in range(trunc, 0, -1):
+        m, s = (parts - 1) // k + 1, (parts - 1) % k + 1
+        for j in range(1, m + 1):
+            if _basis_exponent(k, m, s, j) > trunc:
+                break
+            total = total + _closed_basis_poly(k, m, s, j, trunc, family, False)
+            if family == "F" and s == k:  # k*m parts: the overlined largest part
+                total = total + _closed_basis_poly(k, m, s, j, trunc, family, True)
+        rows = [list(row) for row in total.rows]
+        for row in rows:
+            _apply_factors(row, [((parts, -1),)], divide=True)
+        total = ZQPoly._make(rows, trunc)
+    return total + 1
 
 
 def _closed_basis_poly(k: int, m: int, s: int, j: int, trunc: int, family: str, overlined: bool) -> ZQPoly:
@@ -540,14 +519,16 @@ def _shifted_binomial_sum(k: int, j: int, trunc: int) -> QSeries:
 
 
 def _closed_euler_lhs(trunc: int) -> ZQPoly:
-    total = ZQPoly.zero(trunc)
-    j = 0
+    # sum_j z^j q^C(j,2) / (q;q)_j: row j is row j-1 times q^(j-1), divided
+    # by (1 - q^j).
+    rows = [[1] + [0] * trunc]
+    j = 1
     while j * (j - 1) // 2 <= trunc:
-        base = QSeries.monomial(j * (j - 1) // 2, 1, trunc)
-        base = base / q_pochhammer(1, 1, j, trunc)
-        total = total + ZQPoly.from_qseries(base, j)
+        row = ([0] * (j - 1) + rows[-1])[: trunc + 1]
+        _apply_factors(row, [((j, -1),)], divide=True)
+        rows.append(row)
         j += 1
-    return total
+    return ZQPoly._make(rows, trunc)
 
 
 def _closed_distinct_gf(k: int, s: int, trunc: int) -> ZQPoly:
@@ -931,7 +912,7 @@ IDENTITIES = {
                  _build_i16,
                  {"A": _positive("A"), "B": _nonneg("B"), "k": _positive("k")},
                  {}, _grid_abk, SERIES_TRUNC_GUARD),
-        Identity("I17", "geometric q-binomial summation",
+        Identity("I17", "shifted q-binomial summation",
                  _build_i17, {"k": _positive("k"), "j": _positive("j")}, {},
                  lambda: [{"k": k, "j": j} for k in (1, 2, 3) for j in range(1, 7)],
                  SERIES_TRUNC_GUARD),
@@ -1070,5 +1051,5 @@ def theorem_count_check(which: str, n: int, r: int) -> VerificationReport:
             small = smallest_positive_repeating_size(pi, r)
             if small is not None:
                 rhs[(count_parts_above(pi, small, inclusive=True) - 1, small)] += count
-    mismatches = _diff_zq(ZQPoly.from_counts(lhs, axis), ZQPoly.from_counts(rhs, axis))
+    mismatches = _diff(ZQPoly.from_counts(lhs, axis), ZQPoly.from_counts(rhs, axis))
     return _report(which, {"n": n, "r": r}, n, mismatches)

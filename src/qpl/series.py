@@ -3,14 +3,17 @@
 All coefficients are Python integers (arbitrary precision).  A ``QSeries``
 is known exactly modulo q^(N+1) for its truncation order N; arithmetic
 between two series requires equal truncation.  ``ZQPoly`` keeps the marking
-variable z exact (never truncated) while q stays truncated at N.
+variable z exact (never truncated) while q stays truncated at N; it stores
+one row of q-coefficients per power of z, the form the z-marked primitive
+works on.
 
 Infinite products are exact here, not approximate: a factor congruent to 1
 modulo q^(N+1) is simply skipped, so the finitely many remaining factors
 determine the truncated product completely.
 
 Every product or quotient by a sparse factor 1 + sum(c q^e), or by a
-z-marked factor 1 + sum(c z^a q^e), goes through one in-place primitive.
+z-marked factor 1 + sum(c z^a q^e), goes through one in-place primitive:
+``_apply_factors`` on a coefficient list, ``_apply_z_factors`` on z-rows.
 """
 
 from __future__ import annotations
@@ -52,19 +55,25 @@ def _apply_factors(coeffs, factors, divide=False):
                     coeffs[m + e] += c * b
 
 
-def _apply_z_factors(rows, factors):
+def _apply_z_factors(rows, factors, divide=False):
     """Multiply the z-rows ``rows`` (``rows[a]``: the truncated series at
     z^a) in place by each sparse factor 1 + sum(c z^a q^e), given as
-    (a, e, c) triples, every a >= 1.  Rows are read from the top z-degree
-    down, so each is read before anything is added to it."""
+    (a, e, c) triples, every a >= 1; or divide them by each, every e >= 1.
+    A product reads rows from the top z-degree down and a quotient from
+    the bottom up, so each row read is final; rows are appended as terms
+    reach them, so a quotient runs until its rows vanish below q^(N+1)."""
     n = len(rows[0]) - 1
     for factor in factors:
-        top = len(rows)
-        rows.extend([0] * (n + 1) for _ in range(max((t[0] for t in factor), default=0)))
-        for z in range(top - 1, -1, -1):
-            for a, e, c in factor:
-                row = rows[z + a]
-                row[e:] = [x + c * y for x, y in zip(row[e:], rows[z])]
+        reach = max((t[0] for t in factor), default=0)
+        factor = [(a, e, -c if divide else c) for a, e, c in factor]
+        z = 0 if divide else len(rows) - 1
+        while 0 <= z < len(rows):
+            if not divide or any(rows[z]):  # a zero row appends none
+                rows.extend([0] * (n + 1) for _ in range(z + reach + 1 - len(rows)))
+                for a, e, c in factor:
+                    row = rows[z + a]
+                    row[e:] = [x + c * y for x, y in zip(row[e:], rows[z])]
+            z += 1 if divide else -1
         while len(rows) > 1 and not any(rows[-1]):
             rows.pop()
 
@@ -129,9 +138,7 @@ class QSeries:
 
     def _check(self, other):
         if self.trunc != other.trunc:
-            raise ValueError(
-                f"truncation mismatch: {self.trunc} vs {other.trunc}"
-            )
+            raise ValueError(f"truncation mismatch: {self.trunc} vs {other.trunc}")
 
     def __eq__(self, other):
         return (
@@ -144,7 +151,7 @@ class QSeries:
         return hash((self.trunc, self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is refused, as a float is
             other = QSeries.monomial(0, other, self.trunc)
         elif not isinstance(other, QSeries):
             return NotImplemented  # a ZQPoly operand lifts this series
@@ -156,7 +163,7 @@ class QSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = QSeries.monomial(0, other, self.trunc)
         elif not isinstance(other, QSeries):
             return NotImplemented
@@ -172,7 +179,7 @@ class QSeries:
         return QSeries._make([-a for a in self.coeffs], self.trunc)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return QSeries._make([a * other for a in self.coeffs], self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -291,105 +298,107 @@ def gaussian_binomial(a: int, b: int, k: int, trunc=None) -> QSeries:
 
 
 class ZQPoly:
-    """Polynomial in z whose coefficients are QSeries of one truncation.
+    """Polynomial in z whose coefficients are truncated q-series.
 
-    Canonical form: no stored term is the zero series.  z-degrees are exact
-    (never truncated); q is truncated at ``trunc``.
+    Stored as z-rows: ``rows[a]`` is the tuple of the ``trunc + 1``
+    q-coefficients of z^a, and the last row is never all zero (the zero
+    polynomial has no rows).  z-degrees are exact (never truncated); q is
+    truncated at ``trunc``.
     """
 
-    __slots__ = ("trunc", "terms")
+    __slots__ = ("trunc", "rows")
 
-    def __init__(self, terms, trunc: int):
+    def __init__(self, rows, trunc: int):
         _check_ints(trunc=trunc)
-        clean = {}
-        for z, s in dict(terms).items():
-            _check_ints(z=z)
-            if z < 0:
-                raise ValueError("z-degree must be >= 0")
-            if s.trunc != trunc:
-                raise ValueError("all terms must share one truncation")
-            if not s.is_zero():
-                clean[z] = s
+        rows = ZQPoly._make([QSeries(row, trunc).coeffs for row in rows], trunc).rows
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _make(cls, rows, trunc):
+        """Unchecked: every row holds ``trunc + 1`` ints."""
+        rows = [tuple(row) for row in rows]
+        while rows and not any(rows[-1]):
+            rows.pop()
+        self = object.__new__(cls)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "rows", tuple(rows))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ZQPoly is immutable")
 
     @classmethod
     def zero(cls, trunc: int) -> "ZQPoly":
-        return cls({}, trunc)
+        return cls((), trunc)
 
     @classmethod
     def one(cls, trunc: int) -> "ZQPoly":
-        return cls({0: QSeries.one(trunc)}, trunc)
+        return cls.from_qseries(QSeries.one(trunc))
 
     @classmethod
     def from_qseries(cls, s: QSeries, z_degree: int = 0) -> "ZQPoly":
-        return cls({z_degree: s}, s.trunc)
-
-    @classmethod
-    def monomial(cls, z_degree: int, q_exponent: int, coeff: int, trunc: int) -> "ZQPoly":
-        return cls({z_degree: QSeries.monomial(q_exponent, coeff, trunc)}, trunc)
+        if type(z_degree) is not int or z_degree < 0:
+            raise ValueError(f"z-degree must be an int >= 0 (got {z_degree!r})")
+        return cls._make([(0,) * (s.trunc + 1)] * z_degree + [s.coeffs], s.trunc)
 
     @classmethod
     def from_counts(cls, counts, trunc: int) -> "ZQPoly":
         """The sum of count * z^z q^weight over a ``{(weight, z): count}``
         mapping.  Weights past the truncation are dropped, so counts taken
         to a larger weight can be reused."""
-        rows = {}
+        rows = []
         for (weight, z), count in counts.items():
+            _check_ints(weight=weight, z=z, coefficient=count)
+            if min(weight, z) < 0:
+                raise ValueError(f"weight and z-degree must be >= 0 (got {(weight, z)!r})")
             if weight <= trunc:
-                rows.setdefault(z, [0] * (trunc + 1))[weight] += count
-        return cls({z: QSeries(row, trunc) for z, row in rows.items()}, trunc)
+                rows.extend([0] * (trunc + 1) for _ in range(z + 1 - len(rows)))
+                rows[z][weight] += count
+        return cls._make(rows, trunc)
 
     def z_degrees(self):
-        return tuple(sorted(self.terms))
+        return tuple(z for z, row in enumerate(self.rows) if any(row))
 
     def z_coeff(self, z: int) -> QSeries:
-        return self.terms.get(z, QSeries.zero(self.trunc))
+        """The q-series at z^z; zero past the stored rows and below z^0."""
+        if 0 <= z < len(self.rows):
+            return QSeries._make(self.rows[z], self.trunc)
+        return QSeries.zero(self.trunc)
 
     def coeff(self, z: int, q: int) -> int:
-        s = self.terms.get(z)
-        return s.coeff(q) if s is not None else 0
+        return self.z_coeff(z).coeff(q)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
-    def _check(self, other):
-        if self.trunc != other.trunc:
-            raise ValueError(
-                f"truncation mismatch: {self.trunc} vs {other.trunc}"
-            )
+    _check = QSeries._check
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ZQPoly)
-            and self.trunc == other.trunc
-            and self.terms == other.terms
-        )
+        return isinstance(other, ZQPoly) and (self.trunc, self.rows) == (other.trunc, other.rows)
 
     def __hash__(self):
-        return hash((self.trunc, tuple(sorted(self.terms.items()))))
+        return hash((self.trunc, self.rows))
 
     def __add__(self, other):
-        if isinstance(other, (int, QSeries)):
-            other = _lift(other, self.trunc)
+        if type(other) is int:
+            other = QSeries.monomial(0, other, self.trunc)
+        if isinstance(other, QSeries):
+            other = ZQPoly.from_qseries(other)
         elif not isinstance(other, ZQPoly):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for z, s in other.terms.items():
-            terms[z] = terms[z] + s if z in terms else s
-        return ZQPoly(terms, self.trunc)
+        low, high = sorted((self.rows, other.rows), key=len)
+        rows = [[a + b for a, b in zip(x, y)] if any(x) else y for x, y in zip(low, high)]
+        return ZQPoly._make(rows + list(high[len(low):]), self.trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ZQPoly({z: -s for z, s in self.terms.items()}, self.trunc)
+        return ZQPoly._make([[-a for a in row] for row in self.rows], self.trunc)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, QSeries, ZQPoly)):
+        if type(other) is not int and not isinstance(other, (QSeries, ZQPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -397,75 +406,44 @@ class ZQPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, QSeries)):
-            if isinstance(other, QSeries):
-                self._check(other)
-            return ZQPoly(
-                {z: s * other for z, s in self.terms.items()}, self.trunc
-            )
-        if not isinstance(other, ZQPoly):
+        if type(other) is int or isinstance(other, QSeries):
+            other = ZQPoly.zero(self.trunc) + other  # lifted to z^0
+        elif not isinstance(other, ZQPoly):
             return NotImplemented
         self._check(other)
-        terms = {}
-        for za, sa in self.terms.items():
-            for zb, sb in other.terms.items():
-                z = za + zb
-                prod = sa * sb
-                terms[z] = terms[z] + prod if z in terms else prod
-        return ZQPoly(terms, self.trunc)
+        total = ZQPoly.zero(self.trunc)
+        for za, ra in enumerate(self.rows):
+            for zb, rb in enumerate(other.rows):
+                prod = QSeries._make(ra, self.trunc) * QSeries._make(rb, self.trunc)
+                total = total + ZQPoly.from_qseries(prod, za + zb)
+        return total
 
     __rmul__ = __mul__
-
-    def shift(self, exponent: int) -> "ZQPoly":
-        """Multiply by q^exponent termwise."""
-        return ZQPoly(
-            {z: s.shift(exponent) for z, s in self.terms.items()}, self.trunc
-        )
 
     def z_shift(self, delta: int) -> "ZQPoly":
         """Multiply by z^delta; negative delta must not create z^(<0) terms."""
         _check_ints(delta=delta)
-        if delta < 0 and any(z + delta < 0 for z in self.terms):
+        if delta < 0 and any(any(row) for row in self.rows[:-delta]):
             raise ValueError("z-shift would produce a negative z-degree")
-        return ZQPoly({z + delta: s for z, s in self.terms.items()}, self.trunc)
+        pad = [(0,) * (self.trunc + 1)] * delta
+        return ZQPoly._make(pad + list(self.rows[max(-delta, 0):]), self.trunc)
 
     def q_projection(self) -> QSeries:
-        """Sum over z-degrees (the q-series at z = 1)."""
-        acc = QSeries.zero(self.trunc)
-        for s in self.terms.values():
-            acc = acc + s
-        return acc
+        """The q-series at z = 1: the sum of the rows."""
+        zero = (0,) * (self.trunc + 1)
+        return QSeries._make([sum(col) for col in zip(zero, *self.rows)], self.trunc)
 
     def z_moment(self) -> QSeries:
-        """Sum over z-degrees weighted by the degree (d/dz at z = 1)."""
-        acc = QSeries.zero(self.trunc)
-        for z, s in self.terms.items():
-            acc = acc + s * z
-        return acc
+        """d/dz at z = 1: the sum of the rows, row a weighted by a."""
+        weighted = [[a * c for c in row] for a, row in enumerate(self.rows)]
+        return ZQPoly._make(weighted, self.trunc).q_projection()
 
     def dump(self) -> str:
         """Per z-degree, a ``z <degree>`` header then the series dump."""
-        blocks = []
-        for z in self.z_degrees():
-            blocks.append(f"z {z}")
-            blocks.append(self.terms[z].dump())
-        return "\n".join(blocks)
+        return "\n".join(f"z {z}\n{self.z_coeff(z).dump()}" for z in self.z_degrees())
 
     def __repr__(self):
-        degs = self.z_degrees()
-        return f"ZQPoly(z_degrees={list(degs)}, trunc={self.trunc})"
-
-
-def _lift(value, trunc):
-    if isinstance(value, int):
-        value = QSeries.monomial(0, value, trunc)
-    return ZQPoly.from_qseries(value)
-
-
-def _zq_from_rows(rows) -> ZQPoly:
-    """The ZQPoly whose z^a coefficient is the series ``rows[a]``."""
-    trunc = len(rows[0]) - 1
-    return ZQPoly({a: QSeries._make(row, trunc) for a, row in enumerate(rows)}, trunc)
+        return f"ZQPoly(z_degrees={list(self.z_degrees())}, trunc={self.trunc})"
 
 
 def one_plus_zq_product(offset: int, trunc: int, step: int = 1) -> ZQPoly:
@@ -476,4 +454,4 @@ def one_plus_zq_product(offset: int, trunc: int, step: int = 1) -> ZQPoly:
         raise ValueError("offset must be >= 0 and step >= 1")
     rows = [[1] + [0] * trunc]
     _apply_z_factors(rows, [((1, e, 1),) for e in range(offset, trunc + 1, step)])
-    return _zq_from_rows(rows)
+    return ZQPoly._make(rows, trunc)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -9,6 +10,7 @@ from qpl.enumeration import iter_overpartitions
 from qpl.identities import (
     IDENTITIES,
     IDENTITY_IDS,
+    _diff,
     _resolve,
     brute_force,
     catalog_instances,
@@ -18,7 +20,7 @@ from qpl.identities import (
     verify,
     verify_all,
 )
-from qpl.series import QSeries
+from qpl.series import QSeries, ZQPoly
 
 
 def test_catalog_is_complete():
@@ -224,6 +226,42 @@ def test_all_zero_equations_in_the_catalog():
                 vacuous[identity] += 1
     assert equations == 1011
     assert vacuous == {"I13": 44, "I14": 95}
+
+
+def test_diff_walks_rows_of_both_kinds_of_side():
+    def found(ref, other):
+        return [(m.q, m.z, m.lhs, m.rhs) for m in _diff(ref, other)]
+
+    s = QSeries([1, 2, 3], 2)
+    assert found(s, QSeries([1, 0, 3], 2)) == [(1, None, 2, 0)]
+    assert found(s, ZQPoly([[1, 2, 3]], 2)) == found(ZQPoly([[1, 2, 3]], 2), s) == []
+    # A row that only one side has is compared against zero, from either side.
+    longer = ZQPoly([[1, 2, 3], [], [0, 4]], 2)
+    assert found(s, longer) == [(1, 2, 0, 4)]
+    assert found(longer, ZQPoly([[1, 0, 3]], 2)) == [(1, 0, 2, 0), (1, 2, 4, 0)]
+
+
+def test_closed_sides_keep_their_recorded_digest():
+    # Every closed side of every default-grid instance at truncations 0-12,
+    # 40 and 120, skipping the instances that the entry's guard would cap,
+    # hashed with its identity, parameters and truncation.  The digest was
+    # recorded before the z-marked closed forms moved to z-rows; any change
+    # to a closed side's value or dump changes it.
+    digest = hashlib.sha256()
+    sides = 0
+    for trunc in (*range(13), 40, 120):
+        for identity, params, capped in catalog_instances(trunc):
+            if capped != trunc:
+                continue
+            params, equations = _resolve(identity, params, capped)
+            for eq in equations:
+                for side in eq:
+                    if side.kind == "closed":
+                        text = f"{identity} {sorted(params.items())} {capped}\n{side.evaluate().dump()}\n"
+                        digest.update(text.encode())
+                        sides += 1
+    assert sides == 21842
+    assert digest.hexdigest() == "d9d1652ce59f6dbca5224f3eb5af385795f34c5da331c068f4b532786b8994ff"
 
 
 def _count_calls(monkeypatch, name):

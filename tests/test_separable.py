@@ -369,18 +369,23 @@ def test_compose_on_random_witnesses(witness):
 
 # -- basis generating polynomials -------------------------------------------
 
+def zq_monomial(z, e, c, trunc):
+    """c z^z q^e as a ZQPoly."""
+    return ZQPoly.from_qseries(QSeries.monomial(e, c, trunc), z)
+
+
 def test_basis_gf_examples():
-    assert basis_gf("BL", 2, 1, 1, True, 2) == ZQPoly.monomial(1, 1, 1, 2)
-    assert basis_gf("BL", 2, 1, 1, False, 2) == ZQPoly.monomial(0, 1, 1, 2)
-    assert basis_gf("BF", 2, 2, 1, True, 3) == ZQPoly.monomial(1, 2, 1, 3)
-    assert basis_gf("BF", 2, 2, 1, False, 3) == ZQPoly.monomial(0, 2, 1, 3)
+    assert basis_gf("BL", 2, 1, 1, True, 2) == zq_monomial(1, 1, 1, 2)
+    assert basis_gf("BL", 2, 1, 1, False, 2) == zq_monomial(0, 1, 1, 2)
+    assert basis_gf("BF", 2, 2, 1, True, 3) == zq_monomial(1, 2, 1, 3)
+    assert basis_gf("BF", 2, 2, 1, False, 3) == zq_monomial(0, 2, 1, 3)
 
 
 def test_basis_gf_smallest_part_cases():
     # one part: q and zq; many parts with largest size 1: (1+z) q^m
     for m in (2, 3, 5):
         got = basis_gf("BL", 2, m, 1, False, m)
-        assert got == ZQPoly.monomial(0, m, 1, m) + ZQPoly.monomial(1, m, 1, m)
+        assert got == zq_monomial(0, m, 1, m) + zq_monomial(1, m, 1, m)
         assert basis_gf("BL", 2, m, 1, True, m).is_zero()
 
 

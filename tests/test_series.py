@@ -7,7 +7,6 @@ from qpl.series import (
     ZQPoly,
     _apply_factors,
     _apply_z_factors,
-    _zq_from_rows,
     gaussian_binomial,
     omega_product,
     one_plus_zq_product,
@@ -66,14 +65,26 @@ def test_product_and_quotient_match_dense_oracles():
                 assert d * quotient == a
 
 
-def _random_factor(rng, n, terms, z=False):
+def _random_factor(rng, n, terms, z=False, divisor=False):
     """A sparse factor 1 + sum(c q^e) (1 + sum(c z^a q^e) with ``z``) as the
-    primitive takes it, terms in ascending e, every e >= 1 (a >= 1, e >= 0)."""
-    exponents = sorted(rng.sample(range(0 if z else 1, n + 6), terms))
+    primitive takes it, terms in ascending e, every e >= 1 (a >= 1, e >= 0;
+    a z-marked ``divisor`` has every e >= 1 and its first a >= 2)."""
+    exponents = sorted(rng.sample(range(0 if z and not divisor else 1, n + 6), terms))
     coeffs = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in exponents]
     if z:
-        return [(rng.randrange(1, 4), e, c) for e, c in zip(exponents, coeffs)]
+        degrees = [rng.randrange(2 if divisor and i == 0 else 1, 4) for i in range(terms)]
+        return list(zip(degrees, exponents, coeffs))
     return list(zip(exponents, coeffs))
+
+
+def _zq_monomial(z, e, c, trunc):
+    """c z^z q^e as a ZQPoly."""
+    return ZQPoly.from_qseries(QSeries.monomial(e, c, trunc), z)
+
+
+def _zq_factor(factor, trunc):
+    """1 + sum(c z^a q^e) as a ZQPoly, terms past q^trunc dropped."""
+    return sum((_zq_monomial(a, e, c, trunc) for a, e, c in factor), ZQPoly.one(trunc))
 
 
 def _factor_series(factor, n, unit=1):
@@ -115,13 +126,23 @@ def test_z_factor_primitive_matches_zq_product():
     for n in (0, 1, 9, 30):
         for terms in (1, 2, 4):
             rows = [[rng.randrange(-5, 6) for _ in range(n + 1)] for _ in range(rng.randrange(1, 4))]
-            want = _zq_from_rows([list(row) for row in rows])
+            want = ZQPoly(rows, n)
             factors = [_random_factor(rng, n, terms, z=True) for _ in range(3)]
             _apply_z_factors(rows, factors)
             for factor in factors:
-                one = ZQPoly.one(n)
-                want = want * sum((ZQPoly.monomial(a, e, c, n) for a, e, c in factor), one)
-            assert _zq_from_rows(rows) == want
+                want = want * _zq_factor(factor, n)
+            assert ZQPoly(rows, n) == want
+            # The quotient: multiplying it back by its divisors through
+            # ZQPoly.__mul__ restores the rows exactly.
+            dividend = ZQPoly(rows, n)
+            divisors = [_random_factor(rng, n, max(terms, 2), z=True, divisor=True) for _ in range(3)]
+            assert any(c < 0 for f in divisors for _, _, c in f)
+            assert any(c > 0 for f in divisors for _, _, c in f)
+            _apply_z_factors(rows, divisors, divide=True)
+            back = ZQPoly(rows, n)
+            for factor in divisors:
+                back = back * _zq_factor(factor, n)
+            assert back == dividend
 
 
 def test_quotient_errors():
@@ -252,7 +273,7 @@ def test_gaussian_binomial_palindromic_nonnegative():
 
 def test_zq_basic_arithmetic():
     one = ZQPoly.one(4)
-    z = ZQPoly.monomial(1, 0, 1, 4)
+    z = _zq_monomial(1, 0, 1, 4)
     sq = (one + z) * (one + z)
     assert sq.coeff(0, 0) == 1 and sq.coeff(1, 0) == 2 and sq.coeff(2, 0) == 1
     assert (sq - sq).is_zero()
@@ -261,7 +282,7 @@ def test_zq_basic_arithmetic():
 
 def test_series_with_zq_operand_defers_to_zq():
     s = QSeries([1, 2, 0, 5], 3)
-    p = ZQPoly({0: QSeries.one(3), 2: QSeries.monomial(1, 3, 3)}, 3)
+    p = ZQPoly([[1], [], [0, 3]], 3)
     assert s * p == p * s and isinstance(s * p, ZQPoly)
     assert s + p == p + s and isinstance(s + p, ZQPoly)
     assert s - p == -(p - s)
@@ -273,20 +294,38 @@ def test_series_with_zq_operand_defers_to_zq():
 
 
 def test_zq_canonical_drops_zero_terms():
-    p = ZQPoly({0: QSeries.one(3), 1: QSeries.zero(3)}, 3)
+    p = ZQPoly([[1], [0, 0, 0, 0]], 3)
     assert p.z_degrees() == (0,)
+    assert p.rows == ((1, 0, 0, 0),)
+    assert ZQPoly([[0], []], 3) == ZQPoly.zero(3) and ZQPoly.zero(3).rows == ()
+
+
+def test_z_index_does_not_wrap():
+    p = ZQPoly([[0, 1], [0, 5]], 3)
+    assert p.coeff(-1, 1) == 0 and p.coeff(1, 1) == 5 and p.coeff(2, 1) == 0
+    assert p.z_coeff(-1) == p.z_coeff(2) == QSeries.zero(3)
+    with pytest.raises(ValueError, match="z-degree"):
+        ZQPoly.from_counts({(1, 1): 5, (1, -1): 1}, 3)
+    with pytest.raises(ValueError, match="z must be an int"):
+        ZQPoly.from_counts({(1, True): 1}, 3)
+    with pytest.raises(ValueError, match="weight"):
+        ZQPoly.from_counts({(-1, 0): 1}, 3)  # would wrap to q^3
+    with pytest.raises(ValueError, match="coefficient must be an int"):
+        ZQPoly.from_counts({(1, 1): 1.5}, 3)
+    with pytest.raises(ValueError, match="z-degree"):
+        ZQPoly.from_qseries(QSeries.one(3), -1)
+    assert ZQPoly.from_counts({(1, 1): 5, (0, 0): 0, (9, 4): 1}, 3) == ZQPoly([[], [0, 5]], 3)
 
 
 def test_zq_shift_rules():
-    z = ZQPoly.monomial(2, 1, 5, 4)
+    z = _zq_monomial(2, 1, 5, 4)
     assert z.z_shift(-1).coeff(1, 1) == 5
     with pytest.raises(ValueError):
         z.z_shift(-3)
-    assert z.shift(2).coeff(2, 3) == 5
 
 
 def test_zq_projection_and_moment():
-    p = ZQPoly.monomial(0, 1, 3, 5) + ZQPoly.monomial(2, 1, 4, 5)
+    p = _zq_monomial(0, 1, 3, 5) + _zq_monomial(2, 1, 4, 5)
     assert p.q_projection().coeffs == (0, 7, 0, 0, 0, 0)
     assert p.z_moment().coeffs == (0, 8, 0, 0, 0, 0)
 
@@ -300,18 +339,23 @@ def test_one_plus_zq_product():
     stepped = one_plus_zq_product(1, 5, step=2)
     assert stepped.coeff(1, 3) == 1 and stepped.coeff(1, 2) == 0
     # offset 0 adds the factor (1 + z)
-    one_plus_z = ZQPoly.one(3) + ZQPoly.monomial(1, 0, 1, 3)
+    one_plus_z = ZQPoly.one(3) + _zq_monomial(1, 0, 1, 3)
     assert one_plus_zq_product(0, 3) == one_plus_z * p
 
 
 def test_zq_geometric():
-    # 1 / (1 - z q^2) modulo q^8 is the finite factor 1 + z q^2 + z^2 q^4 + z^3 q^6
+    # The quotient 1 / (1 - z q^2) modulo q^8 appends rows until they vanish:
+    # it is the finite factor 1 + z q^2 + z^2 q^4 + z^3 q^6.
     rows = [[1] + [0] * 7]
-    _apply_z_factors(rows, [[(a, 2 * a, 1) for a in range(1, 4)]])
-    g = _zq_from_rows(rows)
+    _apply_z_factors(rows, [[(1, 2, -1)]], divide=True)
+    g = ZQPoly(rows, 7)
+    assert len(g.rows) == 4
     assert [g.coeff(a, 2 * a) for a in range(4)] == [1, 1, 1, 1]
     assert g.coeff(1, 3) == 0
-    assert g * (ZQPoly.one(7) - ZQPoly.monomial(1, 2, 1, 7)) == ZQPoly.one(7)
+    expansion = [[1] + [0] * 7]
+    _apply_z_factors(expansion, [[(a, 2 * a, 1) for a in range(1, 4)]])
+    assert g == ZQPoly(expansion, 7)
+    assert g * (ZQPoly.one(7) - _zq_monomial(1, 2, 1, 7)) == ZQPoly.one(7)
 
 
 def test_kernel_rejects_floats_and_bools():
@@ -333,8 +377,9 @@ def test_kernel_rejects_floats_and_bools():
         lambda: gaussian_binomial(4, 2, 1, True),
         lambda: gaussian_binomial(4.0, 2, 1),
         lambda: one_plus_zq_product(1, 4, step=True),
-        lambda: ZQPoly({1.7: s}, 3),
-        lambda: ZQPoly({True: s}, 3),
+        lambda: ZQPoly([[1.5]], 3),
+        lambda: ZQPoly([[True]], 3),
+        lambda: ZQPoly([[1, 2, 3, 4, 5]], 3),
         lambda: ZQPoly.zero(3.0),
         lambda: ZQPoly.one(3).z_shift(True),
     ]
@@ -349,9 +394,15 @@ def test_zq_foreign_operand_is_a_type_error():
                lambda: p * 1.5, lambda: 1.5 * p, lambda: p * "1"):
         with pytest.raises(TypeError):
             op()
+    # A bool is refused as a float is, by both classes, from either side.
+    for x in (QSeries.one(3), p):
+        for op in (lambda: x + True, lambda: True + x, lambda: x - True,
+                   lambda: True - x, lambda: x * True, lambda: False * x):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_dump_format():
     assert QSeries([1, 0, -2], 2).dump() == "0\t1\n1\t0\n2\t-2"
-    p = ZQPoly.monomial(1, 0, 3, 1)
+    p = _zq_monomial(1, 0, 3, 1)
     assert p.dump() == "z 1\n0\t3\n1\t0"

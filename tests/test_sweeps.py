@@ -35,7 +35,7 @@ from qpl.identities import (
     _brute_basis_marked,
     _brute_class_marked,
     _brute_distinct_marked,
-    _diff_zq,
+    _diff,
     _excludant_sweep,
     _report,
     _resolve,
@@ -112,7 +112,7 @@ def object_theorem_count_check(which, n, r):
             small = smallest_positive_repeating_size(pi, r)
             if small is not None:
                 rhs[(count_parts_above(pi, small, inclusive=True) - 1, small)] += 1
-    mismatches = _diff_zq(ZQPoly.from_counts(lhs, axis), ZQPoly.from_counts(rhs, axis))
+    mismatches = _diff(ZQPoly.from_counts(lhs, axis), ZQPoly.from_counts(rhs, axis))
     return _report(which, {"n": n, "r": r}, n, mismatches)
 
 
@@ -122,7 +122,7 @@ def object_basis_gf(elements, j, overlined, trunc):
         trunc = max((lam.weight for lam in selected), default=0)
     acc = ZQPoly.zero(trunc)
     for lam in selected:
-        acc = acc + ZQPoly.monomial(lam.overlined_count, lam.weight, 1, trunc)
+        acc = acc + ZQPoly.from_qseries(QSeries.monomial(lam.weight, 1, trunc), lam.overlined_count)
     return acc
 
 
