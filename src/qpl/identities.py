@@ -57,6 +57,7 @@ from .series import (
     ZQPoly,
     _apply_factors,
     _apply_z_factors,
+    _binomial_ladder,
     gaussian_binomial,
     omega_product,
     one_plus_zq_product,
@@ -509,13 +510,12 @@ def _closed_basis_poly(k: int, m: int, s: int, j: int, trunc: int, family: str, 
 
 
 def _shifted_binomial_sum(k: int, j: int, trunc: int) -> QSeries:
-    """sum over m >= j of q^(k(m-j)) [m-1 choose j-1] in the base q^k."""
-    total = QSeries.zero(trunc)
-    m = j
-    while k * (m - j) <= trunc:
-        total = total + gaussian_binomial(m - 1, j - 1, k, trunc).shift(k * (m - j))
-        m += 1
-    return total
+    """sum over m >= j of q^(k(m-j)) [m-1 choose j-1] in the base q^k,
+    each binomial stepped from the one before it (rung a = m - 1)."""
+    total = [0] * (trunc + 1)
+    for shift, rung in zip(range(0, trunc + 1, k), _binomial_ladder(j - 1, k, trunc)):
+        total[shift:] = [x + y for x, y in zip(total[shift:], rung)]
+    return QSeries._make(total, trunc)
 
 
 def _closed_euler_lhs(trunc: int) -> ZQPoly:

@@ -101,7 +101,7 @@ def is_basis_element(lam: Overpartition, family: str, k: int) -> bool:
     return all(map(_overlined, entries[:-1] if family == "BL" else entries[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecompositionWitness:
     """A basis element plus a non-increasing nonnegative padding of the same
     length; adding them partwise (overlines carried) recovers the member."""
@@ -113,7 +113,19 @@ class DecompositionWitness:
         padding = tuple(self.padding)
         if not set(map(type, padding)) <= {int}:
             raise ValueError(f"padding entries must be ints, got {padding!r}")
-        object.__setattr__(self, "padding", padding)
+        _set_padding(self, padding)
+
+    @classmethod
+    def _make(cls, basis, padding):
+        """Internal fast constructor; ``padding`` is a tuple of ints."""
+        self = object.__new__(cls)
+        _set_basis(self, basis)
+        _set_padding(self, padding)
+        return self
+
+
+_set_basis = DecompositionWitness.__dict__["basis"].__set__
+_set_padding = DecompositionWitness.__dict__["padding"].__set__
 
 
 def compose(witness: DecompositionWitness) -> Overpartition:
@@ -193,7 +205,7 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
         raise ValueError("the empty overpartition has no m-part decomposition")
     bl = family == "BL"
     blocks = []  # basis entries, bottom block first
-    padding = ()
+    padding = []  # bottom part first
     size = 0  # the basis size of the current block
     below_over = False
     for part, mult, over in reversed(pi.entries):
@@ -203,10 +215,12 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
         else:  # blocks of pi that share a basis size merge
             _, below_mult, block_over = blocks[-1]
             blocks[-1] = (size, below_mult + mult, block_over or over)
-        padding = (part - size,) * mult + padding
+        padding += (part - size,) * mult
         below_over = over
     blocks.reverse()
-    witness = DecompositionWitness(Overpartition._make(tuple(blocks), tag.convention), padding)
+    padding.reverse()
+    witness = DecompositionWitness._make(
+        Overpartition._make(tuple(blocks), tag.convention), tuple(padding))
     try:  # compose rejects a negative or increasing padding
         ok = is_basis_element(witness.basis, family, k) and compose(witness) == pi
     except ValueError:

@@ -297,6 +297,21 @@ def gaussian_binomial(a: int, b: int, k: int, trunc=None) -> QSeries:
     return QSeries._make(out, trunc)
 
 
+def _binomial_ladder(b: int, k: int, trunc: int):
+    """Yield [a choose b] in the base q^k, truncated at q^trunc, for
+    a = b, b+1, ... as one coefficient list that the next step changes in
+    place, so read each rung before asking for the next.  Each step is the
+    product formula taken one factor further:
+    [a+1 choose b] = [a choose b] (1 - q^(k(a+1))) / (1 - q^(k(a+1-b)))."""
+    out = [1] + [0] * trunc
+    a = b
+    while True:
+        yield out
+        a += 1
+        _apply_factors(out, [((k * a, -1),)])
+        _apply_factors(out, [((k * (a - b), -1),)], divide=True)
+
+
 class ZQPoly:
     """Polynomial in z whose coefficients are truncated q-series.
 

@@ -20,7 +20,7 @@ from qpl.identities import (
     verify,
     verify_all,
 )
-from qpl.series import QSeries, ZQPoly
+from qpl.series import QSeries, ZQPoly, gaussian_binomial
 
 
 def test_catalog_is_complete():
@@ -137,6 +137,18 @@ def test_series_kernel_identities():
     for k in (1, 2, 3):
         for j in range(1, 7):
             assert verify("I17", {"k": k, "j": j}, 40).passed
+
+
+def test_shifted_binomial_sum_matches_sum_of_binomials():
+    """I17's closed side, built on the binomial ladder, against the sum of
+    binomials built one by one with ``gaussian_binomial``."""
+    for n in (300, 400):
+        for k in (1, 2, 3):
+            for j in range(1, 7):
+                expected = QSeries.zero(n)
+                for m in range(j, j + n // k + 1):
+                    expected = expected + gaussian_binomial(m - 1, j - 1, k, n).shift(k * (m - j))
+                assert identities._shifted_binomial_sum(k, j, n) == expected, (n, k, j)
 
 
 def test_distinct_partition_identities():

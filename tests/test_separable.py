@@ -198,6 +198,22 @@ def test_witness_rejects_non_int_padding():
     assert DecompositionWitness(O("1,1"), [1, 0]).padding == (1, 0)
 
 
+def test_unchecked_witness_matches_the_public_constructor():
+    basis = O("2,2,2~,1,1")
+    made = DecompositionWitness._make(basis, (2, 2, 1, 1, 0))
+    public = DecompositionWitness(basis, [2, 2, 1, 1, 0])
+    assert made == public and hash(made) == hash(public)
+    assert decompose(O("4,4,3~,2,1"), "BL", 2) == public
+    for name in ("basis", "padding"):
+        with pytest.raises(AttributeError):
+            setattr(made, name, None)
+    # a slotted frozen dataclass refuses a name outside its fields; Python
+    # 3.11 raises TypeError for it, not FrozenInstanceError
+    with pytest.raises((AttributeError, TypeError)):
+        made.extra = 1
+    assert not hasattr(made, "__dict__") and made.padding == (2, 2, 1, 1, 0)
+
+
 # -- the written-parts oracles for the block forms ---------------------------
 
 def compose_written(witness):

@@ -7,6 +7,7 @@ from qpl.series import (
     ZQPoly,
     _apply_factors,
     _apply_z_factors,
+    _binomial_ladder,
     gaussian_binomial,
     omega_product,
     one_plus_zq_product,
@@ -261,6 +262,17 @@ def test_gaussian_binomial_recurrence():
                 rhs = gaussian_binomial(a - 1, b - 1, k, n) + \
                     gaussian_binomial(a - 1, b, k, n).shift(k * b)
                 assert lhs == rhs, (a, b, k)
+
+
+def test_binomial_ladder_matches_gaussian_binomial():
+    """Every rung equals the from-scratch binomial, over I16's grid
+    (a <= 12, k <= 4) and I17's (b <= 5, k <= 3, a up to b + N/k)."""
+    n = 400
+    for k, b, top in ([(k, b, 12) for k in (1, 2, 3, 4) for b in range(13)]
+                      + [(k, b, b + n // k) for k in (1, 2, 3) for b in range(6)]):
+        ladder = _binomial_ladder(b, k, n)
+        for a in range(b, top + 1):
+            assert tuple(next(ladder)) == gaussian_binomial(a, b, k, n).coeffs, (a, b, k)
 
 
 def test_gaussian_binomial_palindromic_nonnegative():
