@@ -294,11 +294,15 @@ def max_excludant_size(pi: Overpartition, r: int) -> int:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    present = set(pi.sizes())
-    for t in range(pi.largest_size - 1, r - 1, -1):
-        if all((t - u) not in present for u in range(r)):
-            return t
-    return 0
+    # Scan the gaps between adjacent sizes from the top, the last one
+    # reaching down to 0: the first gap with r or more sizes absent holds
+    # the answer, one below its upper size.  O(distinct sizes).
+    above = 0  # no gap above the largest size
+    for below, _, _ in pi.entries:
+        if above - below > r:
+            return above - 1
+        above = below
+    return above - 1 if above > r else 0
 
 
 def largest_repeating_size(pi: Overpartition, r: int) -> int:

@@ -101,13 +101,15 @@ def _class_walk(n: int, convention: Convention, k: int):
     text order; every overpartition of n when k = 1.
 
     A depth-first walk over written parts with an explicit stack.  A stack
-    entry is a prefix ``(entries, remaining weight, last size, last
-    overline, parts placed, residue)``; its children are the next written
-    parts in text order, so each overpartition is yielded once, when its
-    remaining weight reaches 0, and nothing is formatted or sorted.  A part
-    of the last size extends its block; a smaller size opens a new one.
-    Under LAST an overlined part closes its block, under FIRST it may only
-    open one.
+    entry is a prefix ``(closed blocks, open block, remaining weight, parts
+    placed, residue)``, the open block being the last ``(size, mult,
+    overlined)`` entry, or None for the empty prefix.  Its children are the
+    next written parts in text order, so each overpartition is yielded
+    once, when its remaining weight reaches 0, and nothing is formatted or
+    sorted.  A part of the open block's size extends that block, and only
+    the block is rebuilt; a smaller size opens a new one, and all such
+    children of a node share one tuple of closed blocks.  Under LAST an
+    overlined part closes its block, under FIRST it may only open one.
 
     Membership asks that the total part count be congruent mod k to the
     parts placed up to an overline: including it under LAST, where it
@@ -118,36 +120,47 @@ def _class_walk(n: int, convention: Convention, k: int):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    make = Overpartition._make
+    if not n:
+        yield make((), convention)
+        return
     last = convention is Convention.LAST
     full, pruned = _token_tables(n, convention)
-    make = Overpartition._make
-    stack = [((), n, n + 1, False, 0, -1)]
+    if k > 1:  # the rows for a residue that forbids an overline
+        plain = [tuple(tok for tok in row if not tok[1]) for row in full]
+    stack = [((), None, n, 0, -1)]
     after = (-1, -1)  # the residue of a plain and of an overlined child
     pop, push = stack.pop, stack.append
     while stack:
-        entries, rem, prev, prev_over, placed, residue = pop()
+        closed, block, rem, placed, residue = pop()
         if not rem:
             if residue < 0 or placed % k == residue:
-                yield make(entries, convention)
+                yield make(closed + (block,), convention)
             continue
-        if last:
-            cap = prev - 1 if prev_over else prev
-            row = (full if rem == 1 else pruned)[min(cap, rem)]
+        if block is None:  # the empty prefix
+            prev, mult, block_over = n + 1, 0, False
+            opened = closed
         else:
-            row = pruned[prev] if prev <= rem else full[rem]
+            prev, mult, block_over = block
+            opened = closed + (block,)
+        if last:  # an overlined block is closed, so block_over is the last part's
+            cap = min(prev - 1 if block_over else prev, rem)
+            row = (full if rem == 1 else pruned)[cap]
+        else:
+            cap = min(prev, rem)
+            row = (pruned if prev <= rem else full)[cap]
         count = placed + 1
         if k > 1:  # with k = 1 every overline is allowed; residues stay -1
             fix = (count if last else placed) % k
             after = (residue, fix if residue < 0 else residue)
             if residue >= 0 and residue != fix:  # an overline here breaks membership
-                row = [tok for tok in row if not tok[1]]
+                row = plain[cap]
         for size, over in row:
             if size == prev:
-                _, mult, block_over = entries[-1]
-                push((entries[:-1] + ((size, mult + 1, block_over or over),),
-                      rem - size, size, over, count, after[over]))
+                push((closed, (size, mult + 1, block_over or over),
+                      rem - size, count, after[over]))
             else:
-                push((entries + ((size, 1, over),), rem - size, size, over, count, after[over]))
+                push((opened, (size, 1, over), rem - size, count, after[over]))
 
 
 def weighted_profiles(n: int):

@@ -16,7 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from math import inf
+from operator import itemgetter, lt
 
 from .core import Convention, Overpartition, Partition
 from .enumeration import ClassTag, basis_nodes
@@ -74,6 +75,7 @@ def _family_tag(family: str, k: int) -> ClassTag:
     raise ValueError(f"unknown basis family {family!r}")
 
 
+_multiplicity = itemgetter(1)
 _overlined = itemgetter(2)
 
 
@@ -136,26 +138,36 @@ def compose(witness: DecompositionWitness) -> Overpartition:
     sum, and the basis block's overline goes on its first run (FIRST) or
     its last (LAST).  A canonical basis gives strictly decreasing sizes; a
     basis built past validation may repeat or raise one, and is merged or
-    refused as :meth:`Overpartition.from_written` would.
+    refused as :meth:`Overpartition.from_written` would.  A short padding
+    is filled with zeros, and its order is checked in one pass over
+    adjacent entries.
     """
     lam = witness.basis
     mu = witness.padding
-    ell = lam.num_parts
-    if len(mu) > ell:
+    entries = lam.entries
+    short = sum(map(_multiplicity, entries)) - len(mu)
+    if short < 0:
         raise ValueError("padding longer than basis")
-    mu += (0,) * (ell - len(mu))
-    if mu != tuple(sorted(mu, reverse=True)):
+    if short:
+        mu += (0,) * short
+    if any(map(lt, mu, mu[1:])):
         raise ValueError("padding must be non-increasing")
     if mu and mu[-1] < 0:  # the least entry of a non-increasing padding
         raise ValueError("padding must be nonnegative")
-    first = lam.convention is Convention.FIRST
     out = []
-    prev = float("inf")  # the size of the last block of the sum
+    append = out.append
+    prev = inf  # the size of the last block of the sum
     end = 0
-    for size, mult, over in lam.entries:
+    for size, mult, over in entries:
         start, end = end, end + mult
-        if mu[start] == mu[end - 1]:  # one run, the common case
-            runs = ((size + mu[start], mult, over),)
+        pad = mu[start]
+        if pad == mu[end - 1]:  # one run, the common case
+            part = size + pad
+            if part < prev:
+                append((part, mult, over))
+                prev = part
+                continue
+            runs = ((part, mult, over),)
         else:
             block = mu[start:end]
             runs = []
@@ -165,12 +177,12 @@ def compose(witness: DecompositionWitness) -> Overpartition:
                 runs.append((size + block[at], count, False))
                 at += count
             if over:
-                i = 0 if first else -1
+                i = 0 if lam.convention is Convention.FIRST else -1
                 runs[i] = runs[i][:2] + (True,)
         for run in runs:
             part = run[0]
             if part < prev:
-                out.append(run)
+                append(run)
                 prev = part
             elif part == prev:
                 _, above_mult, above_over = out[-1]

@@ -182,6 +182,32 @@ def test_min_excludant_monotone_in_chain_length():
             assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+def set_max_excludant(pi, r):
+    """Oracle: test t = largest size - 1 down to r against the set of
+    sizes."""
+    present = set(pi.sizes())
+    for t in range(pi.largest_size - 1, r - 1, -1):
+        if all((t - u) not in present for u in range(r)):
+            return t
+    return 0
+
+
+def test_max_excludant_matches_set_oracle():
+    for r in range(1, 6):
+        assert max_excludant_size(O(""), r) == set_max_excludant(O(""), r) == 0
+    cases = 0
+    for n in range(0, 19):
+        for pi in iter_overpartitions(n):
+            for r in range(1, 6):
+                assert max_excludant_size(pi, r) == set_max_excludant(pi, r), (pi.text(), r)
+                cases += 1
+            # a chain at least as long as the largest size never fits
+            for r in (pi.largest_size, pi.largest_size + 1):
+                if r >= 1:
+                    assert max_excludant_size(pi, r) == set_max_excludant(pi, r) == 0
+    assert cases == 5 * 13_605
+
+
 def test_max_excludant_range_invariant():
     for n in range(0, 17):
         for r in (1, 2, 3):

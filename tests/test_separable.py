@@ -85,20 +85,37 @@ def test_compose_examples():
     assert compose(DecompositionWitness(O("1~"), (3,))) == O("4~")
     assert compose(DecompositionWitness(O("2,2,2~,1,1"), (2, 2, 1, 1, 0))) == O("4,4,3~,2,1")
     assert compose(DecompositionWitness(O("1,1"), (0, 0))) == O("1,1")
+    # a short padding is filled with zeros below it
+    assert compose(DecompositionWitness(O("2,1"), (1,))) == O("3,1")
+    assert compose(DecompositionWitness(O("3,3~,1"), (2,))) == O("5,3~,1")
+    assert compose(DecompositionWitness(O("2,2~,1"), ())) == O("2,2~,1")
 
 
 def test_compose_errors():
-    with pytest.raises(ValueError):
-        compose(DecompositionWitness(O("1,1"), (0, 0, 0)))
-    with pytest.raises(ValueError):
-        compose(DecompositionWitness(O("1,1"), (0, 1)))
-    with pytest.raises(ValueError):
-        compose(DecompositionWitness(O("1,1"), (-1, -1)))
+    W = DecompositionWitness
+    with pytest.raises(ValueError, match="padding longer than basis"):
+        compose(W(O("1,1"), (0, 0, 0)))
+    with pytest.raises(ValueError, match="padding must be non-increasing"):
+        compose(W(O("1,1"), (0, 1)))
+    with pytest.raises(ValueError, match="padding must be nonnegative"):
+        compose(W(O("1,1"), (-1, -1)))
+    # The zeros that fill a short padding go below it, so one that ends
+    # below 0 rises.
+    with pytest.raises(ValueError, match="padding must be non-increasing"):
+        compose(W(O("2,1"), (-1,)))
     # A valid basis and padding cannot overline one size twice; only a
     # basis built past validation can, and compose must still refuse it.
     corrupt = Overpartition._make(((2, 1, True), (2, 1, True)), Convention.LAST)
-    with pytest.raises(ValueError, match="overlined twice"):
-        compose(DecompositionWitness(corrupt, (0, 0)))
+    with pytest.raises(ValueError, match="size 2 overlined twice"):
+        compose(W(corrupt, (0, 0)))
+    # Precedence: too long, then non-increasing, then negative, then
+    # overlined twice.
+    with pytest.raises(ValueError, match="padding longer than basis"):
+        compose(W(corrupt, (-1, 0, 1)))
+    with pytest.raises(ValueError, match="padding must be non-increasing"):
+        compose(W(corrupt, (-2, -1)))
+    with pytest.raises(ValueError, match="padding must be nonnegative"):
+        compose(W(corrupt, (-1, -1)))
 
 
 def test_decompose_rejects_non_members():
