@@ -12,21 +12,30 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .core import Convention, Overpartition, conjugate, largest_repeating_size, \
     max_excludant_size, min_excludant_size, smallest_positive_repeating_size
 from .enumeration import ClassTag, basis_elements, enumerate_class, overpartitions_of
-from .identities import IDENTITY_IDS, _resolve, catalog_instances, verify
+from .identities import IDENTITY_IDS, PARAMETERS, _resolve, catalog_instances, verify
 from .separable import decompose
 
 DEFAULT_TRUNC = 25
 
-_PARAM_FLAGS = ("r", "k", "n", "m", "s", "j", "A", "B")
+_INT_TEXT = re.compile("0|-?[1-9][0-9]*")
 
 
 class UsageError(Exception):
     pass
+
+
+def _int_arg(text: str) -> int:
+    """The integer that canonical ASCII text spells; ``int`` alone would also
+    take "1_0", " +10", "010" and non-ASCII digits."""
+    if not _INT_TEXT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _default_trunc() -> int:
@@ -34,8 +43,8 @@ def _default_trunc() -> int:
     if env is None:
         return DEFAULT_TRUNC
     try:
-        return int(env)
-    except ValueError:
+        return _int_arg(env)
+    except argparse.ArgumentTypeError:
         raise UsageError(f"QPL_TRUNC must be an integer, got {env!r}")
 
 
@@ -49,44 +58,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check catalog identities coefficientwise")
     p.add_argument("--identity", choices=IDENTITY_IDS, help="catalog entry to check")
     p.add_argument("--all", action="store_true", help="run the whole catalog")
-    p.add_argument("--trunc", type=int, default=None, help="truncation order")
+    p.add_argument("--trunc", type=_int_arg, default=None, help="truncation order")
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     p.add_argument("--dump", action="store_true",
                    help="dump each side's coefficients (text format only)")
-    for flag in _PARAM_FLAGS:
-        p.add_argument(f"--{flag}", type=int, default=None)
-    p.add_argument("--w-reading", dest="w_reading",
-                   choices=("omega_n", "omega_1_n"), default=None)
-    p.add_argument("--form", choices=("subtracted", "corrected"), default=None)
+    for name, domain in PARAMETERS.items():
+        kind = {"choices": domain} if isinstance(domain, tuple) else {"type": _int_arg}
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None, **kind)
 
     p = sub.add_parser("enum", help="stream overpartitions, one per line")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--class", dest="family", choices=("all", "L", "F"), default="all")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_int_arg, default=None)
     p.add_argument("--convention", choices=("last", "first"), default="last")
 
     p = sub.add_parser("stat", help="statistics of one overpartition")
     p.add_argument("--parts", required=True, help="canonical overpartition text")
     p.add_argument("--stat", required=True,
                    choices=("mes", "maes", "conjugate", "lrs", "sprs"))
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=_int_arg, default=1)
     p.add_argument("--convention", choices=("last", "first"), default="last")
 
     p = sub.add_parser("basis", help="list basis elements")
     p.add_argument("--family", choices=("BL", "BF"), required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
+    p.add_argument("--m", type=_int_arg, required=True)
 
     p = sub.add_parser("decompose", help="split a class member into basis + padding")
     p.add_argument("--parts", required=True)
     p.add_argument("--family", choices=("BL", "BF"), required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
 
     p = sub.add_parser("table", help="statistic table over all overpartitions of n")
     p.add_argument("--stat", required=True,
                    choices=("mes", "maes", "conjugate", "lrs", "sprs"))
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=_int_arg, default=1)
+    p.add_argument("--n", type=_int_arg, required=True)
     return parser
 
 
@@ -96,7 +103,7 @@ def _verify_instances(args, trunc: int):
     if not args.all and not args.identity:
         raise UsageError("choose --identity or --all")
     overrides = {}
-    for name in _PARAM_FLAGS + ("w_reading", "form"):
+    for name in PARAMETERS:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value

@@ -276,8 +276,8 @@ def conjugate(pi: Overpartition) -> Overpartition:
 
 def min_excludant_size(pi: Overpartition, r: int) -> int:
     """Smallest t >= 1 such that no part of ``pi`` has size in [t, t+r-1]."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    if type(r) is not int or r < 1:  # bool is an int subclass
+        raise ValueError(f"r must be an int >= 1, got {r!r}")
     t = 1  # the least size not yet excluded
     for size, _, _ in reversed(pi.entries):  # ascending sizes
         if size - t >= r:  # sizes t .. size-1 are absent
@@ -292,8 +292,8 @@ def max_excludant_size(pi: Overpartition, r: int) -> int:
     Returns 0 when no such t exists (in particular for the empty
     overpartition).
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    if type(r) is not int or r < 1:  # bool is an int subclass
+        raise ValueError(f"r must be an int >= 1, got {r!r}")
     # Scan the gaps between adjacent sizes from the top, the last one
     # reaching down to 0: the first gap with r or more sizes absent holds
     # the answer, one below its upper size.  O(distinct sizes).
@@ -307,8 +307,8 @@ def max_excludant_size(pi: Overpartition, r: int) -> int:
 
 def largest_repeating_size(pi: Overpartition, r: int) -> int:
     """Largest size occurring at least r+1 times; 0 counts by convention."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    if type(r) is not int or r < 1:  # bool is an int subclass
+        raise ValueError(f"r must be an int >= 1, got {r!r}")
     for size, mult, _ in pi.entries:
         if mult >= r + 1:
             return size
@@ -317,8 +317,8 @@ def largest_repeating_size(pi: Overpartition, r: int) -> int:
 
 def smallest_positive_repeating_size(pi: Overpartition, r: int):
     """Least size occurring at least r+1 times, or None when there is none."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    if type(r) is not int or r < 1:  # bool is an int subclass
+        raise ValueError(f"r must be an int >= 1, got {r!r}")
     best = None
     for size, mult, _ in pi.entries:
         if mult >= r + 1:
@@ -328,6 +328,8 @@ def smallest_positive_repeating_size(pi: Overpartition, r: int):
 
 def count_parts_above(pi: Overpartition, t: int, inclusive: bool = False) -> int:
     """Number of parts of size > t (or >= t with ``inclusive``)."""
+    if type(t) is not int:
+        raise ValueError(f"t must be an int, got {t!r}")
     if inclusive:
         return sum(m for s, m, _ in pi.entries if s >= t)
     return sum(m for s, m, _ in pi.entries if s > t)

@@ -28,6 +28,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .core import Convention, Overpartition, Partition
+from .series import _check_ints
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,7 @@ def _class_walk(n: int, convention: Convention, k: int):
     residue prunes its branch, and a leaf is yielded only when its part
     count has the residue (-1 while no overline is placed).
     """
+    _check_ints(n=n)
     if n < 0:
         raise ValueError("n must be >= 0")
     make = Overpartition._make
@@ -170,6 +172,7 @@ def weighted_profiles(n: int):
     share the profile, d being its number of distinct sizes.  A statistic
     that ignores overlines sums over this walk as over
     :func:`iter_overpartitions`, with 2^d times fewer objects."""
+    _check_ints(n=n)
     if n < 0:
         raise ValueError("n must be >= 0")
     make = Overpartition._make
@@ -198,6 +201,7 @@ def enumerate_class(n: int, tag: ClassTag):
 def _basis_family(family: str, k: int):
     """The convention of a basis family and its overline-position test: may
     the part at 0-based position ``length`` from the bottom be overlined."""
+    _check_ints(k=k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if family == "BL":
@@ -230,6 +234,7 @@ def basis_elements(family: str, k: int, m: int, max_weight=None):
     compatible with the class modulus k.  ``max_weight`` prunes branches
     whose weight already exceeds it.
     """
+    _check_ints(k=k, m=m)
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
     convention, allowed = _basis_family(family, k)
@@ -307,6 +312,7 @@ def distinct_congruent_partitions(n: int, j: int, k: int, s: int):
     For s = k this means parts divisible by k.  Yields in descending
     lexicographic order of the part tuples.
     """
+    _check_ints(n=n, j=j, k=k, s=s)
     if not 1 <= s <= k:
         raise ValueError("s must satisfy 1 <= s <= k")
     if n < 1 or j < 1:

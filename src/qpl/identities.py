@@ -186,9 +186,11 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
 # Each sweep still visits every profile or basis element and borrows nothing
 # from the closed form it is compared with.
 
-# Per chain length r: (computed truncation, data); data lists are indexed by
-# weight, histograms are keyed by weight-first tuples so slicing to a smaller
-# truncation is a read-time filter.
+# Per chain length r: (computed truncation, histograms).  The histograms are
+# keyed by weight-first tuples, so slicing to a smaller truncation is a
+# read-time filter; the per-weight counts and excludant totals are the
+# q_projection and z_moment of the mes histogram (the maes histogram for the
+# maximal excludant, whose zero values add nothing to the total).
 _SWEEPS: dict = {}
 
 
@@ -196,41 +198,21 @@ def _excludant_sweep(r: int, trunc: int) -> dict:
     cached = _SWEEPS.get(r)
     if cached is not None and cached[0] >= trunc:
         return cached[1]
-    counts = [0] * (trunc + 1)
-    sigma_mes = [0] * (trunc + 1)
-    sigma_maes = [0] * (trunc + 1)
     mes_hist = defaultdict(int)
     maes_hist = defaultdict(int)
     rep_hist = defaultdict(int)
     for n in range(trunc + 1):
         for pi, count in weighted_profiles(n):
-            mes = min_excludant_size(pi, r)
+            mes_hist[(n, min_excludant_size(pi, r))] += count
             maes = max_excludant_size(pi, r)
-            counts[n] += count
-            sigma_mes[n] += mes * count
-            sigma_maes[n] += maes * count
-            mes_hist[(n, mes)] += count
             if maes > 0:
                 maes_hist[(n, maes)] += count
             big = largest_repeating_size(pi, r)
             small = smallest_positive_repeating_size(pi, r) or 0
             rep_hist[(n, big, small)] += count
-    data = {
-        "counts": counts,
-        "sigma_mes": sigma_mes,
-        "sigma_maes": sigma_maes,
-        "mes_hist": mes_hist,
-        "maes_hist": maes_hist,
-        "rep_hist": rep_hist,
-    }
+    data = {"mes_hist": mes_hist, "maes_hist": maes_hist, "rep_hist": rep_hist}
     _SWEEPS[r] = (trunc, data)
     return data
-
-
-def _sweep_series(r: int, key: str, trunc: int) -> QSeries:
-    """One per-weight list of the excludant sweep ("counts", "sigma_mes" or
-    "sigma_maes") as a series."""
-    return QSeries(_excludant_sweep(r, trunc)[key][: trunc + 1], trunc)
 
 
 def _brute_rep_filtered(r: int, trunc: int, keep) -> QSeries:
@@ -307,48 +289,38 @@ def _closed_i1_sum(trunc: int, start: int) -> QSeries:
     return overpartition_series(trunc) * total
 
 
-def _partial_rep_true(r: int, limit: int, trunc: int) -> QSeries:
-    """Overpartitions whose largest repeating size is at most limit-1:
-    sizes below limit unrestricted, sizes >= limit at most r times each."""
-    return (
-        q_pochhammer(-1, 1, limit - 1, trunc)
-        / q_pochhammer(1, 1, limit - 1, trunc)
-        * omega_product(limit, None, r, trunc)
-    )
+def _partial_rep(form: str, r: int, trunc: int):
+    """``limit -> series`` of the overpartitions whose largest repeating size
+    is at most limit-1, in the form asked for; the one place the form is
+    decided (see FORM_DEFAULT).  "corrected" leaves sizes below limit
+    unrestricted and takes sizes >= limit at most r times each; "subtracted"
+    is the complement form that restricts small sizes it must leave free."""
+    if form == "corrected":
+        return lambda limit: (
+            q_pochhammer(-1, 1, limit - 1, trunc)
+            / q_pochhammer(1, 1, limit - 1, trunc)
+            * omega_product(limit, None, r, trunc)
+        )
+    fixed = overpartition_series(trunc) + omega_product(1, None, r, trunc)
+    prefix = [QSeries.one(trunc)]  # prefix[t]: the omega factors at sizes 1..t
 
+    def subtracted(limit):
+        while len(prefix) < limit:
+            prefix.append(prefix[-1] * omega_product(len(prefix), 1, r, trunc))
+        return fixed - prefix[limit - 1] * _tail_series(limit, trunc)
 
-def _partial_rep_subtracted(r: int, limit: int, trunc: int) -> QSeries:
-    """The subtracted complement form of the same partial sum (see
-    FORM_DEFAULT): it restricts sizes below limit that it must leave free."""
-    return (
-        overpartition_series(trunc)
-        - omega_product(1, limit - 1, r, trunc) * _tail_series(limit, trunc)
-        + omega_product(1, None, r, trunc)
-    )
+    return subtracted
 
 
 def _closed_sigma_mes(r: int, trunc: int, form: str) -> QSeries:
-    big = overpartition_series(trunc)
-    total = big
-    if form == "corrected":
-        for n in range(1, trunc + 1):
-            total = total + (
-                _excludant_numerator(n, r, trunc)
-                * q_pochhammer(-1, 1, n - 1, trunc)
-                / q_pochhammer(1, 1, n - 1, trunc)
-                * omega_product(n + 1, None, r, trunc)
-            )
-        return total
-    none_repeating = omega_product(1, None, r, trunc)
-    partial = QSeries.one(trunc)  # running product of omega factors 1..n-1
+    # Term n is exact in both forms: omega_n has constant term 1, and the
+    # corrected partial(n) / omega_n is the product over sizes > n.
+    partial = _partial_rep(form, r, trunc)
+    total = overpartition_series(trunc)
     for n in range(1, trunc + 1):
-        inner = big - partial * _tail_series(n, trunc) + none_repeating
         total = total + (
-            _excludant_numerator(n, r, trunc)
-            * inner
-            / omega_product(n, 1, r, trunc)
+            _excludant_numerator(n, r, trunc) * partial(n) / omega_product(n, 1, r, trunc)
         )
-        partial = partial * omega_product(n, 1, r, trunc)
     return total
 
 
@@ -383,17 +355,11 @@ def _closed_sigma_maes(r: int, trunc: int, w_reading: str) -> QSeries:
 
 
 def _closed_bridge_rhs(trunc: int, form: str) -> QSeries:
-    big = overpartition_series(trunc)
-    twisted_all = q_pochhammer(-2, 1, None, trunc)
+    partial = _partial_rep(form, 1, trunc)
     total = QSeries.zero(trunc)
     for n in range(1, trunc + 1):
         factor = QSeries.monomial(n, 2, trunc) / q_pochhammer(-2, n, 1, trunc)
-        if form == "corrected":
-            inner = _partial_rep_true(1, n, trunc)
-        else:
-            twisted = q_pochhammer(-2, 1, n - 1, trunc)
-            inner = big - twisted * _tail_series(n, trunc) + twisted_all
-        total = total + factor * inner
+        total = total + factor * partial(n)
     return total
 
 
@@ -409,16 +375,6 @@ def _rep_size_term(j: int, r: int, trunc: int) -> QSeries:
     return _rep_size_head(j, r, trunc) * omega_product(j + 1, None, r, trunc)
 
 
-def _rep_size_sum(r: int, trunc: int, most=None) -> QSeries:
-    """Overpartitions whose largest repeating size is at most ``most`` (any
-    by default), summed term by term."""
-    top = trunc // (r + 1)
-    total = QSeries.zero(trunc)
-    for j in range(0, (top if most is None else min(top, most)) + 1):
-        total = total + _rep_size_term(j, r, trunc)
-    return total
-
-
 def _smallest_rep_term(j: int, r: int, trunc: int) -> QSeries:
     """Overpartitions whose smallest positive repeating size is exactly j."""
     return (
@@ -429,14 +385,10 @@ def _smallest_rep_term(j: int, r: int, trunc: int) -> QSeries:
     )
 
 
-def _smallest_rep_sum(r: int, trunc: int, most=None) -> QSeries:
-    """Overpartitions whose smallest positive repeating size is at most
-    ``most`` (any by default), summed term by term."""
-    top = trunc // (r + 1)
-    total = QSeries.zero(trunc)
-    for j in range(1, (top if most is None else min(top, most)) + 1):
-        total = total + _smallest_rep_term(j, r, trunc)
-    return total
+def _stratified_sum(term, r: int, trunc: int, sizes) -> QSeries:
+    """The sum of ``term(j, r, trunc)`` over the repeating sizes j in
+    ``sizes`` that fit below the truncation, (r+1) j <= trunc."""
+    return sum((term(j, r, trunc) for j in sizes if (r + 1) * j <= trunc), QSeries.zero(trunc))
 
 
 def _closed_mes_marked(r: int, trunc: int) -> ZQPoly:
@@ -558,7 +510,8 @@ class Side:
 def _build_i1(p, n):
     return [[
         Side("closed form", "closed", lambda: _closed_i1_sum(n, 0)),
-        Side("enumerated excludant totals", "brute", lambda: _sweep_series(1, "sigma_mes", n)),
+        Side("enumerated excludant totals", "brute",
+             lambda: ZQPoly.from_counts(_excludant_sweep(1, n)["mes_hist"], n).z_moment()),
     ]]
 
 
@@ -566,7 +519,8 @@ def _build_i2(p, n):
     r, form = p["r"], p["form"]
     return [[
         Side("closed form", "closed", lambda: _closed_sigma_mes(r, n, form)),
-        Side("enumerated excludant totals", "brute", lambda: _sweep_series(r, "sigma_mes", n)),
+        Side("enumerated excludant totals", "brute",
+             lambda: ZQPoly.from_counts(_excludant_sweep(r, n)["mes_hist"], n).z_moment()),
     ]]
 
 
@@ -574,36 +528,42 @@ def _build_i3(p, n):
     r, w_reading = p["r"], p["w_reading"]
     return [[
         Side("closed form", "closed", lambda: _closed_sigma_maes(r, n, w_reading)),
-        Side("enumerated excludant totals", "brute", lambda: _sweep_series(r, "sigma_maes", n)),
+        Side("enumerated excludant totals", "brute",
+             lambda: ZQPoly.from_counts(_excludant_sweep(r, n)["maes_hist"], n).z_moment()),
     ]]
 
 
 def _build_i4(p, n):
     form = p["form"]
+
+    def totals_minus_counts():
+        mes = ZQPoly.from_counts(_excludant_sweep(1, n)["mes_hist"], n)
+        return mes.z_moment() - mes.q_projection()
+
     return [[
         Side("weighted triangular sum", "closed", lambda: _closed_i1_sum(n, 1)),
         Side("telescoped form", "closed", lambda: _closed_bridge_rhs(n, form)),
-        Side("enumerated totals minus counts", "brute",
-             lambda: _sweep_series(1, "sigma_mes", n) - _sweep_series(1, "counts", n)),
+        Side("enumerated totals minus counts", "brute", totals_minus_counts),
     ]]
 
 
 def _build_i5(p, n):
     r = p["r"]
     return [[
-        Side("sum over largest repeating size", "closed", lambda: _rep_size_sum(r, n)),
+        Side("sum over largest repeating size", "closed",
+             lambda: _stratified_sum(_rep_size_term, r, n, range(n + 1))),
         Side("overpartition series", "closed", lambda: overpartition_series(n)),
-        Side("enumerated counts", "brute", lambda: _sweep_series(1, "counts", n)),
+        Side("enumerated counts", "brute",
+             lambda: ZQPoly.from_counts(_excludant_sweep(1, n)["mes_hist"], n).q_projection()),
     ]]
 
 
 def _build_i6(p, n):
-    r, limit = p["r"], p["n"]
-    complement = _partial_rep_true if p["form"] == "corrected" else _partial_rep_subtracted
+    r, limit, form = p["r"], p["n"], p["form"]
     return [[
         Side("partial sum over largest repeating size", "closed",
-             lambda: _rep_size_sum(r, n, limit - 1)),
-        Side("complement form", "closed", lambda: complement(r, limit, n)),
+             lambda: _stratified_sum(_rep_size_term, r, n, range(limit))),
+        Side("complement form", "closed", lambda: _partial_rep(form, r, n)(limit)),
         Side("enumerated counts", "brute",
              lambda: _brute_rep_filtered(r, n, lambda big, small: big <= limit - 1)),
     ]]
@@ -621,7 +581,8 @@ def _build_i7(p, n):
 def _build_i8(p, n):
     r = p["r"]
     return [[
-        Side("sum over smallest repeating size", "closed", lambda: _smallest_rep_sum(r, n)),
+        Side("sum over smallest repeating size", "closed",
+             lambda: _stratified_sum(_smallest_rep_term, r, n, range(1, n + 1))),
         Side("complement form", "closed",
              lambda: overpartition_series(n) - omega_product(1, None, r, n)),
         Side("enumerated counts", "brute",
@@ -633,7 +594,7 @@ def _build_i9(p, n):
     r, limit = p["r"], p["m"]
     return [[
         Side("partial sum over smallest repeating size", "closed",
-             lambda: _smallest_rep_sum(r, n, limit)),
+             lambda: _stratified_sum(_smallest_rep_term, r, n, range(1, limit + 1))),
         Side("complement form", "closed",
              lambda: overpartition_series(n)
              - omega_product(1, limit, r, n) * _tail_series(limit + 1, n)),
@@ -761,22 +722,25 @@ def _build_i19(p, n):
     ]
 
 
-def _positive(name):
-    def check(v):
-        if type(v) is not int or v < 1:  # bool is an int subclass
-            raise ValueError(f"parameter {name} must be a positive integer")
-        return v
+# Every catalog parameter and the values it takes: the least value of an
+# integer, or the choices of a string.  The CLI builds one flag per entry.
+PARAMETERS = {
+    "r": 1, "k": 1, "n": 1, "m": 1, "s": 1, "j": 1, "A": 1, "B": 0,
+    "w_reading": W_READINGS, "form": FORMS,
+}
 
-    return check
 
-
-def _nonneg(name):
-    def check(v):
-        if type(v) is not int or v < 0:
-            raise ValueError(f"parameter {name} must be a nonnegative integer")
-        return v
-
-    return check
+def _check_param(name: str, value, domain=None):
+    """``value`` if it lies in ``domain`` (by default the parameter's own, from
+    PARAMETERS); a ValueError otherwise."""
+    domain = PARAMETERS[name] if domain is None else domain
+    if isinstance(domain, tuple):
+        if value not in domain:
+            raise ValueError(f"{name} must be one of {domain}")
+    elif type(value) is not int or value < domain:  # bool is an int subclass
+        kind = "positive" if domain else "nonnegative"
+        raise ValueError(f"parameter {name} must be a {kind} integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -784,7 +748,7 @@ class Identity:
     id: str
     summary: str
     builder: object
-    param_checks: dict
+    param_names: tuple
     defaults: dict
     grid: object
     # I1-I12, I18 and I19 stop at BRUTE_TRUNC_GUARD: they walk profiles, or
@@ -797,13 +761,13 @@ class Identity:
         params = dict(params or {})
         out = dict(self.defaults)
         for name, value in params.items():
-            if name not in self.param_checks:
+            if name not in self.param_names:
                 raise ValueError(f"{self.id} takes no parameter {name!r}")
             out[name] = value
-        for name, check in self.param_checks.items():
+        for name in self.param_names:
             if name not in out:
                 raise ValueError(f"{self.id} requires parameter {name!r}")
-            out[name] = check(out[name])
+            out[name] = _check_param(name, out[name])
         if "s" in out and "k" in out and not out["s"] <= out["k"]:
             raise ValueError("parameter s must satisfy 1 <= s <= k")
         return out
@@ -844,18 +808,6 @@ def _grid_abk():
     ]
 
 
-def _reading_check(v):
-    if v not in W_READINGS:
-        raise ValueError(f"w_reading must be one of {W_READINGS}")
-    return v
-
-
-def _form_check(v):
-    if v not in FORMS:
-        raise ValueError(f"form must be one of {FORMS}")
-    return v
-
-
 def _with_forms(grid):
     return [dict(p, form=form) for p in grid for form in FORMS]
 
@@ -864,64 +816,49 @@ IDENTITIES = {
     e.id: e
     for e in [
         Identity("I1", "total minimal excludant size, chain length 1",
-                 _build_i1, {}, {}, lambda: [{}], BRUTE_TRUNC_GUARD),
+                 _build_i1, (), {}, lambda: [{}], BRUTE_TRUNC_GUARD),
         Identity("I2", "total minimal excludant size, chain length r",
-                 _build_i2, {"r": _positive("r"), "form": _form_check},
-                 {"form": FORM_DEFAULT}, lambda: _with_forms(_grid_r()),
-                 BRUTE_TRUNC_GUARD),
+                 _build_i2, ("r", "form"), {"form": FORM_DEFAULT},
+                 lambda: _with_forms(_grid_r()), BRUTE_TRUNC_GUARD),
         Identity("I3", "total maximal excludant size, chain length r",
-                 _build_i3, {"r": _positive("r"), "w_reading": _reading_check},
+                 _build_i3, ("r", "w_reading"),
                  {"w_reading": W_READING_DEFAULT}, _grid_r, BRUTE_TRUNC_GUARD),
         Identity("I4", "bridge between the two excludant-total forms",
-                 _build_i4, {"form": _form_check}, {"form": FORM_DEFAULT},
+                 _build_i4, ("form",), {"form": FORM_DEFAULT},
                  lambda: _with_forms([{}]), BRUTE_TRUNC_GUARD),
         Identity("I5", "stratification by largest repeating size",
-                 _build_i5, {"r": _positive("r")}, {}, _grid_r, BRUTE_TRUNC_GUARD),
+                 _build_i5, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
         Identity("I6", "largest repeating size at most n-1",
-                 _build_i6, {"r": _positive("r"), "n": _positive("n"), "form": _form_check},
-                 {"form": FORM_DEFAULT},
+                 _build_i6, ("r", "n", "form"), {"form": FORM_DEFAULT},
                  lambda: _with_forms(_grid_rn("n", 8)), BRUTE_TRUNC_GUARD),
         Identity("I7", "z-marked minimal excludant size generator",
-                 _build_i7, {"r": _positive("r")}, {}, _grid_r, BRUTE_TRUNC_GUARD),
+                 _build_i7, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
         Identity("I8", "some positive repeating size",
-                 _build_i8, {"r": _positive("r")}, {}, _grid_r, BRUTE_TRUNC_GUARD),
+                 _build_i8, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
         Identity("I9", "smallest positive repeating size at most m",
-                 _build_i9, {"r": _positive("r"), "m": _positive("m")}, {},
-                 lambda: _grid_rn("m", 8), BRUTE_TRUNC_GUARD),
+                 _build_i9, ("r", "m"), {}, lambda: _grid_rn("m", 8), BRUTE_TRUNC_GUARD),
         Identity("I10", "z-marked maximal excludant size generator",
-                 _build_i10, {"r": _positive("r")}, {}, _grid_r, BRUTE_TRUNC_GUARD),
+                 _build_i10, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
         Identity("I11", "L-class z-marked generating function",
-                 _build_i11, {"k": _positive("k")}, {}, lambda: _grid_k(4),
-                 BRUTE_TRUNC_GUARD),
+                 _build_i11, ("k",), {}, lambda: _grid_k(4), BRUTE_TRUNC_GUARD),
         Identity("I12", "F-class z-marked generating function",
-                 _build_i12, {"k": _positive("k")}, {}, lambda: _grid_k(4),
-                 BRUTE_TRUNC_GUARD),
+                 _build_i12, ("k",), {}, lambda: _grid_k(4), BRUTE_TRUNC_GUARD),
         Identity("I13", "L-basis polynomial closed form",
-                 _build_i13,
-                 {"k": _positive("k"), "m": _positive("m"),
-                  "s": _positive("s"), "j": _positive("j")},
-                 {}, _grid_kmsj, SERIES_TRUNC_GUARD),
+                 _build_i13, ("k", "m", "s", "j"), {}, _grid_kmsj, SERIES_TRUNC_GUARD),
         Identity("I14", "F-basis polynomial closed forms",
-                 _build_i14,
-                 {"k": _positive("k"), "m": _positive("m"),
-                  "s": _positive("s"), "j": _positive("j")},
-                 {}, _grid_kmsj, SERIES_TRUNC_GUARD),
+                 _build_i14, ("k", "m", "s", "j"), {}, _grid_kmsj, SERIES_TRUNC_GUARD),
         Identity("I15", "Euler product expansion",
-                 _build_i15, {}, {}, lambda: [{}], SERIES_TRUNC_GUARD),
+                 _build_i15, (), {}, lambda: [{}], SERIES_TRUNC_GUARD),
         Identity("I16", "q-binomial recurrence",
-                 _build_i16,
-                 {"A": _positive("A"), "B": _nonneg("B"), "k": _positive("k")},
-                 {}, _grid_abk, SERIES_TRUNC_GUARD),
+                 _build_i16, ("A", "B", "k"), {}, _grid_abk, SERIES_TRUNC_GUARD),
         Identity("I17", "shifted q-binomial summation",
-                 _build_i17, {"k": _positive("k"), "j": _positive("j")}, {},
+                 _build_i17, ("k", "j"), {},
                  lambda: [{"k": k, "j": j} for k in (1, 2, 3) for j in range(1, 7)],
                  SERIES_TRUNC_GUARD),
         Identity("I18", "L-basis subsets against distinct congruent partitions",
-                 _build_i18, {"k": _positive("k"), "s": _positive("s")}, {}, _grid_ks,
-                 BRUTE_TRUNC_GUARD),
+                 _build_i18, ("k", "s"), {}, _grid_ks, BRUTE_TRUNC_GUARD),
         Identity("I19", "F-basis subsets against distinct congruent partitions",
-                 _build_i19, {"k": _positive("k"), "s": _positive("s")}, {}, _grid_ks,
-                 BRUTE_TRUNC_GUARD),
+                 _build_i19, ("k", "s"), {}, _grid_ks, BRUTE_TRUNC_GUARD),
     ]
 }
 
@@ -999,7 +936,7 @@ def catalog_instances(trunc: int, identities=None, overrides=None) -> list:
     identities = tuple(identities or IDENTITY_IDS)
     overrides = dict(overrides or {})
     for name in overrides:
-        if not any(name in IDENTITIES[i].param_checks for i in identities):
+        if not any(name in IDENTITIES[i].param_names for i in identities):
             raise ValueError(f"{'/'.join(identities)} takes no parameter {name!r}")
     instances = []
     seen = set()
@@ -1007,7 +944,7 @@ def catalog_instances(trunc: int, identities=None, overrides=None) -> list:
         entry = IDENTITIES[identity]
         for base in entry.grid():
             params = dict(base)
-            params.update((n, v) for n, v in overrides.items() if n in entry.param_checks)
+            params.update((n, v) for n, v in overrides.items() if n in entry.param_names)
             key = (identity, tuple(sorted(params.items())))
             if key not in seen:
                 seen.add(key)
@@ -1030,8 +967,8 @@ def theorem_count_check(which: str, n: int, r: int) -> VerificationReport:
     """
     if which not in ("Thm2_1", "Thm2_2"):
         raise ValueError("which must be Thm2_1 or Thm2_2")
-    n = _nonneg("n")(n)
-    r = _positive("r")(r)
+    n = _check_param("n", n, 0)
+    r = _check_param("r", r)
     if n > BRUTE_TRUNC_GUARD:
         raise ValueError(f"n must lie in 0..{BRUTE_TRUNC_GUARD}")
     axis = n + 2

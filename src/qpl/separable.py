@@ -21,7 +21,7 @@ from operator import itemgetter, lt
 
 from .core import Convention, Overpartition, Partition
 from .enumeration import ClassTag, basis_nodes
-from .series import ZQPoly
+from .series import ZQPoly, _check_ints
 
 
 def _convention_mismatch(pi: Overpartition, convention: Convention, what: str):
@@ -251,6 +251,9 @@ def basis_gf(family: str, k: int, parts: int, j: int, overlined: bool, trunc=Non
     With no truncation given, the polynomial is computed exactly at the
     largest weight that occurs (0 if the set is empty).
     """
+    _check_ints(k=k, parts=parts, j=j)
+    if type(overlined) is not bool:
+        raise ValueError(f"overlined must be a bool, got {overlined!r}")
     if parts < 1:
         raise ValueError("parts must be >= 1")
     counts = Counter(

@@ -172,6 +172,23 @@ def test_trunc_env_override(monkeypatch):
     assert _run(["verify", "--identity", "I15"])[0] == 2
 
 
+@pytest.mark.parametrize("text", ("1_0", " 10", "+10", "010", "\u0663", "10 ", "1e1", "0x10"))
+def test_integer_flags_take_canonical_ascii_text_only(text, monkeypatch):
+    assert _run(["verify", "--identity", "I17", "--k", "1", "--j", "1", "--trunc", text])[0] == 2
+    assert _run(["verify", "--identity", "I17", "--k", text, "--j", "1", "--trunc", "10"])[0] == 2
+    assert _run(["enum", "--n", text])[0] == 2
+    assert _run(["table", "--stat", "mes", "--r", text, "--n", "3"])[0] == 2
+    monkeypatch.setenv("QPL_TRUNC", text)
+    assert _run(["verify", "--identity", "I15"])[0] == 2
+
+
+def test_integer_flags_take_canonical_text():
+    assert _run(["verify", "--identity", "I17", "--k", "1", "--j", "1", "--trunc", "10",
+                 "--format", "tsv"]) == (0, "I17\tj=1,k=1\t10\tpass\t0\n")
+    assert _run(["enum", "--n", "0"]) == (0, "\n")
+    assert _run(["enum", "--n", "-1"])[0] == 2  # canonical, then refused as negative
+
+
 def test_help_exits_zero():
     assert _run(["--help"])[0] == 0
     assert _run(["verify", "--help"])[0] == 0

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpl.core import (
     Convention,
@@ -277,6 +278,22 @@ def test_constructors_reject_non_int_sizes_and_non_bool_flags():
     assert Overpartition.from_written([(2, True), (1, False)]).text() == "2~,1"
 
 
+@pytest.mark.parametrize("r", (1.5, 2.0, True, False, "2", None))
+def test_statistics_reject_non_int_chain_length(r):
+    pi = O("5,3,1")
+    for stat in (min_excludant_size, max_excludant_size, largest_repeating_size,
+                 smallest_positive_repeating_size):
+        with pytest.raises(ValueError):
+            stat(pi, r)
+    assert min_excludant_size(pi, 1) == 2
+
+
+@pytest.mark.parametrize("t", (2.5, 2.0, True, "2"))
+def test_count_parts_above_rejects_non_int_threshold(t):
+    with pytest.raises(ValueError):
+        count_parts_above(O("5,3,1"), t)
+
+
 def set_min_excludant(pi, r):
     """Oracle: test t = 1, 2, ... against the set of sizes."""
     present = set(pi.sizes())
@@ -309,3 +326,33 @@ def test_parts_match_per_part_oracle():
         for n in range(0, 13):
             for pi in iter_overpartitions(n, convention):
                 assert pi.parts() == written_parts(pi), pi.text()
+
+
+# -- properties (derandomized, bounded) ---------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+@st.composite
+def overpartitions(draw, conventions=(Convention.LAST, Convention.FIRST)):
+    """Any overpartition with sizes up to 15 and multiplicities up to 4."""
+    blocks = draw(st.dictionaries(st.integers(1, 15),
+                                  st.tuples(st.integers(1, 4), st.booleans()), max_size=7))
+    entries = [(size, *blocks[size]) for size in sorted(blocks, reverse=True)]
+    return Overpartition(entries, draw(st.sampled_from(conventions)))
+
+
+@PROPERTY
+@given(overpartitions())
+def test_parse_inverts_text(pi):
+    text = pi.text()
+    assert Overpartition.parse(text, pi.convention) == pi
+    assert Overpartition.parse(text, pi.convention).text() == text
+
+
+@PROPERTY
+@given(overpartitions((Convention.LAST,)))
+def test_conjugate_is_an_involution_on_random_overpartitions(pi):
+    image = conjugate(pi)
+    assert conjugate(image) == pi
+    assert (image.weight, image.overlined_count) == (pi.weight, pi.overlined_count)

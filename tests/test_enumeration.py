@@ -72,6 +72,24 @@ def test_class_tag_rejects_non_int_k(k):
         ClassTag("L", k)
 
 
+@pytest.mark.parametrize("bad", (True, 2.0, 1.5, "2"))
+def test_enumerators_reject_non_int_arguments(bad):
+    calls = (
+        lambda: list(overpartitions_of(bad)),
+        lambda: list(iter_overpartitions(bad)),
+        lambda: list(enumerate_class(bad, ClassTag("L", 1))),
+        lambda: basis_elements("BL", 1, bad),
+        lambda: basis_elements("BL", bad, 2),
+        lambda: list(distinct_congruent_partitions(bad, 1, 1, 1)),
+        lambda: list(distinct_congruent_partitions(3, bad, 1, 1)),
+        lambda: list(distinct_congruent_partitions(3, 1, 1, bad)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert len(basis_elements("BL", 1, 2)) == 4
+
+
 BL25 = {"1,1,1,1,1", "2~,1,1,1,1", "2,2,2~,1,1", "3~,2,2~,1,1",
         "1,1,1,1,1~", "2~,1,1,1,1~", "2,2,2~,1,1~", "3~,2,2~,1,1~"}
 BF25 = {"1,1,1,1,1", "2,1~,1,1,1", "2,2,2,1~,1", "3,2~,2,1~,1"}

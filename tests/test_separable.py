@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -407,6 +409,15 @@ def zq_monomial(z, e, c, trunc):
     return ZQPoly.from_qseries(QSeries.monomial(e, c, trunc), z)
 
 
+@pytest.mark.parametrize("args", (
+    ("BL", 1, 2.0, 1, False), ("BL", 1, True, 1, False), ("BL", 1, 2, 1.0, False),
+    ("BL", True, 2, 1, False), ("BL", 1, 2, 1, 0),
+))
+def test_basis_gf_rejects_non_int_arguments(args):
+    with pytest.raises(ValueError):
+        basis_gf(*args)
+
+
 def test_basis_gf_examples():
     assert basis_gf("BL", 2, 1, 1, True, 2) == zq_monomial(1, 1, 1, 2)
     assert basis_gf("BL", 2, 1, 1, False, 2) == zq_monomial(0, 1, 1, 2)
@@ -584,3 +595,30 @@ def test_bf_bijection_round_trip_and_image():
         for (n, s, j), got in images.items():
             want = {p.parts for p in distinct_congruent_partitions(n, j, k, s)}
             assert got == want, (k, n, s, j)
+
+
+BIJECTIONS = {
+    "BL": (bl_bijection_to_distinct, bl_bijection_from_distinct),
+    "BF": (bf_bijection_to_distinct, bf_bijection_from_distinct),
+}
+cached_basis_elements = cache(basis_elements)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(("BL", "BF")), st.integers(1, 3), st.integers(1, 11),
+       st.integers(0, 2**12))
+def test_staircase_bijections_round_trip_on_random_basis_elements(family, k, m, pick):
+    """Both directions of both staircase bijections invert each other on a
+    basis element with up to 11 parts; an element with the other extreme
+    overline is toggled into the bijection's domain first."""
+    elements = cached_basis_elements(family, k, m)
+    lam = elements[pick % len(elements)]
+    if lam.has_overlined(1 if family == "BL" else lam.largest_size) != (family == "BL"):
+        lam = toggle_extreme_overline(lam, family)
+    to_distinct, from_distinct = BIJECTIONS[family]
+    s = _length_residue(m, k)
+    nu = to_distinct(lam, k, s)
+    assert nu.weight == lam.weight and len(set(nu.parts)) == len(nu) == lam.largest_size
+    assert all(part % k == s % k for part in nu)
+    assert from_distinct(nu, k, s) == lam
+    assert to_distinct(from_distinct(nu, k, s), k, s) == nu

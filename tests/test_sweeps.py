@@ -168,9 +168,15 @@ def node_key(node):
 def test_excludant_sweep_matches_object_walk(r, cold_sweeps):
     got = _excludant_sweep(r, N)
     want = object_excludant_sweep(r, N)
-    assert set(got) == set(want)
-    for key, value in want.items():
-        assert got[key] == value, key
+    assert set(got) == {"mes_hist", "maes_hist", "rep_hist"}
+    for key, value in got.items():
+        assert value == want[key], key
+    # the per-weight lists are read off the histograms
+    mes = ZQPoly.from_counts(got["mes_hist"], N)
+    maes = ZQPoly.from_counts(got["maes_hist"], N)
+    assert list(mes.q_projection().coeffs) == want["counts"]
+    assert list(mes.z_moment().coeffs) == want["sigma_mes"]
+    assert list(maes.z_moment().coeffs) == want["sigma_maes"]
 
 
 @pytest.mark.parametrize("family", ("L", "F"))
