@@ -330,6 +330,8 @@ def count_parts_above(pi: Overpartition, t: int, inclusive: bool = False) -> int
     """Number of parts of size > t (or >= t with ``inclusive``)."""
     if type(t) is not int:
         raise ValueError(f"t must be an int, got {t!r}")
+    if type(inclusive) is not bool:
+        raise ValueError(f"inclusive must be a bool, got {inclusive!r}")
     if inclusive:
         return sum(m for s, m, _ in pi.entries if s >= t)
     return sum(m for s, m, _ in pi.entries if s > t)

@@ -8,8 +8,12 @@ per size) is kept by the blocks of equal sizes: under the last-occurrence
 convention an overlined part closes its block, under the first-occurrence
 one it may only open one.  The same walk streams the classes L_k and F_k:
 it counts the parts it places and visits members only, and the stream of
-all overpartitions is its k = 1 case.  Public generators yield in a fixed
-order (lexicographic on the canonical text) so golden outputs are stable.
+all overpartitions is its k = 1 case.  What can follow a prefix depends on
+a small state, not on the prefix, so near the leaves the walk stops
+branching: a node of small remaining weight joins its prefix to each entry
+of a list of completions built once per call for its state.  Public
+generators yield in a fixed order (lexicographic on the canonical text) so
+golden outputs are stable.
 
 The sweeps behind the identity checks count instead of building objects.
 A profile with d distinct sizes carries 2^d overpartitions, and an overline
@@ -97,27 +101,49 @@ def iter_overpartitions(n: int, convention: Convention = Convention.LAST):
     return _class_walk(n, Convention(convention), 1)
 
 
+# A node of the class walk whose remaining weight is at most this finishes
+# from a shared suffix list instead of pushing children.  Most of a walk's
+# nodes lie this close to the leaves.  Smaller values share less; with 8
+# or 10 the enumerate benchmark's wall time was the same within its noise,
+# and a small walk builds more lists that it uses about once.
+_SUFFIX_WEIGHT = 6
+
+
 def _class_walk(n: int, convention: Convention, k: int):
     """The members of L_k (LAST) or F_k (FIRST) of weight n, in canonical
     text order; every overpartition of n when k = 1.
 
     A depth-first walk over written parts with an explicit stack.  A stack
-    entry is a prefix ``(closed blocks, open block, remaining weight, parts
-    placed, residue)``, the open block being the last ``(size, mult,
-    overlined)`` entry, or None for the empty prefix.  Its children are the
-    next written parts in text order, so each overpartition is yielded
-    once, when its remaining weight reaches 0, and nothing is formatted or
-    sorted.  A part of the open block's size extends that block, and only
-    the block is rebuilt; a smaller size opens a new one, and all such
-    children of a node share one tuple of closed blocks.  Under LAST an
-    overlined part closes its block, under FIRST it may only open one.
+    entry is a prefix ``(closed blocks, open block, remaining weight,
+    phase)``, the open block being the last ``(size, mult, overlined)``
+    entry, or None for the empty prefix.  Its children are the next written
+    parts in text order, so each overpartition is yielded once, and nothing
+    is formatted or sorted.  A part of the open block's size extends that
+    block, and only the block is rebuilt; a smaller size opens a new one,
+    and all such children of a node share one tuple of closed blocks.
+    Under LAST an overlined part closes its block, under FIRST it may only
+    open one.
 
     Membership asks that the total part count be congruent mod k to the
     parts placed up to an overline: including it under LAST, where it
     closes its block, and before it under FIRST, where it opens one.  The
-    first overline fixes that residue, a later overline with another
-    residue prunes its branch, and a leaf is yielded only when its part
-    count has the residue (-1 while no overline is placed).
+    first overline fixes that residue.  The phase is the parts placed
+    minus the residue, mod k, or -1 while no overline is placed; a later
+    overline is allowed only where it would fix the same residue, and a
+    leaf is a member when its phase is -1 or 0.
+
+    What can follow a node depends only on its state: the remaining weight,
+    the open block's size capped at remaining weight + 1 (past which it
+    stops mattering), whether that block is overlined, and the phase.  So a
+    node with remaining weight at most ``_SUFFIX_WEIGHT`` pushes no
+    children: it joins its prefix to each entry of its state's suffix list,
+    in text order.  An entry is ``(parts added to the open block, overline
+    added to it, new blocks)``; the leaf is ``closed + (extended open
+    block,) + new blocks`` when the entry adds parts to the open block,
+    and ``closed + (open block,) + new blocks`` otherwise.  The lists are built on first
+    use, recursively over a node's children in text order, by the child
+    rule the stack uses; they live for one call, and their block tuples are
+    shared by every object that ends in them.
     """
     _check_ints(n=n)
     if n < 0:
@@ -128,41 +154,86 @@ def _class_walk(n: int, convention: Convention, k: int):
         return
     last = convention is Convention.LAST
     full, pruned = _token_tables(n, convention)
-    if k > 1:  # the rows for a residue that forbids an overline
+    if k > 1:  # the rows for a phase that forbids an overline
         plain = [tuple(tok for tok in row if not tok[1]) for row in full]
-    stack = [((), None, n, 0, -1)]
-    after = (-1, -1)  # the residue of a plain and of an overlined child
-    pop, push = stack.pop, stack.append
-    while stack:
-        closed, block, rem, placed, residue = pop()
-        if not rem:
-            if residue < 0 or placed % k == residue:
-                yield make(closed + (block,), convention)
-            continue
-        if block is None:  # the empty prefix
-            prev, mult, block_over = n + 1, 0, False
-            opened = closed
-        else:
-            prev, mult, block_over = block
-            opened = closed + (block,)
+    # the phase an overline gives when it fixes the residue
+    fixed = 0 if last else 1 % k
+
+    def children(prev, block_over, rem, phase):
+        """The written parts a node may add next, in reverse text order, and
+        the phase of a plain and of an overlined child."""
         if last:  # an overlined block is closed, so block_over is the last part's
             cap = min(prev - 1 if block_over else prev, rem)
             row = (full if rem == 1 else pruned)[cap]
         else:
             cap = min(prev, rem)
             row = (pruned if prev <= rem else full)[cap]
-        count = placed + 1
-        if k > 1:  # with k = 1 every overline is allowed; residues stay -1
-            fix = (count if last else placed) % k
-            after = (residue, fix if residue < 0 else residue)
-            if residue >= 0 and residue != fix:  # an overline here breaks membership
-                row = plain[cap]
+        if k == 1:  # every overline is allowed; the phase stays -1
+            return row, (-1, -1)
+        if phase < 0:
+            return row, (-1, fixed)
+        step = (phase + 1) % k
+        if (step if last else phase) != 0:  # an overline here would fix another residue
+            row = plain[cap]
+        return row, (step, step)
+
+    suffixes = {}
+
+    def suffix_list(rem, prev, block_over, phase):
+        """Build and store the suffix list of a state not in ``suffixes``
+        yet, ``prev`` being already capped at rem + 1."""
+        entries = []
+        if not rem:
+            if phase <= 0:
+                entries.append((0, False, ()))
+        else:
+            row, after = children(prev, block_over, rem, phase)
+            for size, over in reversed(row):
+                left = rem - size
+                if size == prev:
+                    key = (left, prev if prev <= left else left + 1, block_over or over,
+                           after[over])
+                else:
+                    key = (left, size if size <= left else left + 1, over, after[over])
+                sub = suffixes.get(key)
+                if sub is None:
+                    sub = suffix_list(*key)
+                if size == prev:
+                    entries += [(dm + 1, over or dov, blocks) for dm, dov, blocks in sub]
+                else:
+                    entries += [(0, False, ((size, dm + 1, over or dov),) + blocks)
+                                for dm, dov, blocks in sub]
+        suffixes[rem, prev, block_over, phase] = entries
+        return entries
+
+    stack = [((), None, n, -1)]
+    pop, push, limit = stack.pop, stack.append, _SUFFIX_WEIGHT
+    while stack:
+        closed, block, rem, phase = pop()
+        if block is None:  # the empty prefix
+            prev, mult, block_over = n + 1, 0, False
+            opened = closed
+        else:
+            prev, mult, block_over = block
+            opened = closed + (block,)
+        if rem <= limit:
+            key = (rem, prev if prev <= rem else rem + 1, block_over, phase)
+            entries = suffixes.get(key)
+            if entries is None:
+                entries = suffix_list(*key)
+            for dm, dov, blocks in entries:
+                if dm:
+                    yield make(closed + ((prev, mult + dm, block_over or dov),) + blocks,
+                               convention)
+                else:
+                    yield make(opened + blocks, convention)
+            continue
+        row, after = children(prev, block_over, rem, phase)
         for size, over in row:
             if size == prev:
-                push((closed, (size, mult + 1, block_over or over),
-                      rem - size, count, after[over]))
+                push((closed, (size, mult + 1, block_over or over), rem - size, after[over]))
             else:
-                push((opened, (size, 1, over), rem - size, count, after[over]))
+                push((opened, (size, 1, over), rem - size, after[over]))
 
 
 def weighted_profiles(n: int):
@@ -235,6 +306,8 @@ def basis_elements(family: str, k: int, m: int, max_weight=None):
     whose weight already exceeds it.
     """
     _check_ints(k=k, m=m)
+    if max_weight is not None:
+        _check_ints(max_weight=max_weight)
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
     convention, allowed = _basis_family(family, k)

@@ -252,6 +252,8 @@ def basis_gf(family: str, k: int, parts: int, j: int, overlined: bool, trunc=Non
     largest weight that occurs (0 if the set is empty).
     """
     _check_ints(k=k, parts=parts, j=j)
+    if trunc is not None:
+        _check_ints(trunc=trunc)
     if type(overlined) is not bool:
         raise ValueError(f"overlined must be a bool, got {overlined!r}")
     if parts < 1:

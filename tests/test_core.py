@@ -294,6 +294,13 @@ def test_count_parts_above_rejects_non_int_threshold(t):
         count_parts_above(O("5,3,1"), t)
 
 
+@pytest.mark.parametrize("flag", ("no", 1, 0, None))
+def test_count_parts_above_rejects_non_bool_flag(flag):
+    with pytest.raises(ValueError):
+        count_parts_above(O("5,3,1"), 3, inclusive=flag)
+    assert count_parts_above(O("5,3,1"), 3, inclusive=True) == 2
+
+
 def set_min_excludant(pi, r):
     """Oracle: test t = 1, 2, ... against the set of sizes."""
     present = set(pi.sizes())

@@ -1,3 +1,6 @@
+import time
+from itertools import zip_longest
+
 from qpl.core import Convention, Overpartition, Partition
 from qpl.enumeration import (
     ClassTag,
@@ -80,6 +83,7 @@ def test_enumerators_reject_non_int_arguments(bad):
         lambda: list(enumerate_class(bad, ClassTag("L", 1))),
         lambda: basis_elements("BL", 1, bad),
         lambda: basis_elements("BL", bad, 2),
+        lambda: basis_elements("BL", 1, 3, bad),
         lambda: list(distinct_congruent_partitions(bad, 1, 1, 1)),
         lambda: list(distinct_congruent_partitions(3, bad, 1, 1)),
         lambda: list(distinct_congruent_partitions(3, 1, 1, bad)),
@@ -253,3 +257,36 @@ def test_class_stream_is_the_filtered_walk_on_random_tags(n, family, k):
     tag = ClassTag(family, k)
     want = [pi for pi in iter_overpartitions(n, tag.convention) if is_member(pi, tag)]
     assert list(enumerate_class(n, tag)) == want
+
+
+def test_streamed_objects_are_canonical():
+    # The walk builds its objects with the unchecked Overpartition._make;
+    # n up to 16 straddles the weight at which nodes finish from suffix lists.
+    tags = [ClassTag(family, k) for family in ("L", "F") for k in (1, 2, 3, 4)]
+    for n in range(17):
+        streams = [iter_overpartitions(n, convention)
+                   for convention in (Convention.LAST, Convention.FIRST)]
+        streams += [enumerate_class(n, tag) for tag in tags]
+        for stream in streams:
+            for pi in stream:
+                assert Overpartition(pi.entries, pi.convention) == pi, (n, pi.entries)
+
+
+def test_stream_stays_lazy_at_large_weight():
+    # Suffix lists are built on first use, so the first object of a large
+    # stream costs one descent, not a table of all completions.
+    start = time.perf_counter()
+    first = next(iter_overpartitions(200))
+    assert time.perf_counter() - start < 2.0
+    assert first.entries == ((1, 200, False),)
+
+
+def test_interleaved_class_streams_match_separate_runs():
+    tags = (ClassTag("L", 2), ClassTag("F", 3))
+    want = [list(enumerate_class(14, tag)) for tag in tags]
+    got = ([], [])
+    for pair in zip_longest(*(enumerate_class(14, tag) for tag in tags)):
+        for out, pi in zip(got, pair):
+            if pi is not None:
+                out.append(pi)
+    assert list(got) == want

@@ -412,6 +412,7 @@ def zq_monomial(z, e, c, trunc):
 @pytest.mark.parametrize("args", (
     ("BL", 1, 2.0, 1, False), ("BL", 1, True, 1, False), ("BL", 1, 2, 1.0, False),
     ("BL", True, 2, 1, False), ("BL", 1, 2, 1, 0),
+    ("BL", 1, 2, 1, False, 3.5), ("BL", 1, 2, 1, False, True),
 ))
 def test_basis_gf_rejects_non_int_arguments(args):
     with pytest.raises(ValueError):
