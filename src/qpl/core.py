@@ -130,13 +130,6 @@ class Overpartition:
                 out += (plain,) * (mult - 1) + ((size, True),)
         return out
 
-    def with_convention(self, convention: Convention) -> "Overpartition":
-        """Same content under another writing convention."""
-        convention = Convention(convention)
-        if convention is self.convention:
-            return self
-        return Overpartition._make(self.entries, convention)
-
     # -- text format -----------------------------------------------------
 
     def text(self) -> str:

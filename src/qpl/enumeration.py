@@ -346,6 +346,16 @@ class BasisNode(NamedTuple):
     largest_overlined: bool
 
 
+# The sweep cache: (kind, *params) -> (bound, data), for the counting sweeps
+# that many identity instances read.  ("excludant", r) holds the excludant
+# histograms up to truncation ``bound``; ("basis", family, k, trunc) holds
+# one basis_nodes walk at weight <= trunc and length <= ``bound``, counted by
+# (length, top size, top overline) -> {(weight, overlines): count}.  A larger
+# bound walks again; a basis entry never widens past the largest length asked
+# at its truncation.  clear() empties every kind.
+_SWEEPS: dict = {}
+
+
 def basis_nodes(family: str, k: int, max_weight=None, max_length=None):
     """Every basis element with weight <= ``max_weight`` and at most
     ``max_length`` parts, once each and in no particular order, as a

@@ -46,6 +46,7 @@ from .core import (
     smallest_positive_repeating_size,
 )
 from .enumeration import (
+    _SWEEPS,
     ClassTag,
     _profiles,
     basis_nodes,
@@ -182,20 +183,21 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
 # they walk enumeration.weighted_profiles and add each profile's 2^d
 # overpartitions at once.  Class membership tests each size on its own, so a
 # profile with a sizes that may carry an overline adds C(a, z) members with
-# z overlines.  The basis sides read one walk of enumeration.basis_nodes.
+# z overlines.  The basis sides read walks of enumeration.basis_nodes.
 # Each sweep still visits every profile or basis element and borrows nothing
 # from the closed form it is compared with.
-
-# Per chain length r: (computed truncation, histograms).  The histograms are
-# keyed by weight-first tuples, so slicing to a smaller truncation is a
-# read-time filter; the per-weight counts and excludant totals are the
-# q_projection and z_moment of the mes histogram (the maes histogram for the
-# maximal excludant, whose zero values add nothing to the total).
-_SWEEPS: dict = {}
+#
+# The excludant histograms and the basis histograms behind basis_gf (I13,
+# I14) are shared through enumeration._SWEEPS.  The excludant histograms are
+# keyed by weight-first tuples, so a smaller truncation reads them with a
+# filter; the per-weight counts and excludant totals are the q_projection and
+# z_moment of the mes histogram (the maes histogram for the maximal
+# excludant, whose zero values add nothing to the total).  The I18 and I19
+# walks have no length cap, so they run per call.
 
 
 def _excludant_sweep(r: int, trunc: int) -> dict:
-    cached = _SWEEPS.get(r)
+    cached = _SWEEPS.get(("excludant", r))
     if cached is not None and cached[0] >= trunc:
         return cached[1]
     mes_hist = defaultdict(int)
@@ -211,7 +213,7 @@ def _excludant_sweep(r: int, trunc: int) -> dict:
             small = smallest_positive_repeating_size(pi, r) or 0
             rep_hist[(n, big, small)] += count
     data = {"mes_hist": mes_hist, "maes_hist": maes_hist, "rep_hist": rep_hist}
-    _SWEEPS[r] = (trunc, data)
+    _SWEEPS["excludant", r] = (trunc, data)
     return data
 
 

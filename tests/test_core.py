@@ -75,7 +75,7 @@ def test_round_trip_canonical_text():
 def test_written_parts_by_convention():
     pi = O("3,2,2~,1")
     assert pi.parts() == ((3, False), (2, False), (2, True), (1, False))
-    assert pi.with_convention(Convention.FIRST).parts() == (
+    assert Overpartition(pi.entries, Convention.FIRST).parts() == (
         (3, False), (2, True), (2, False), (1, False))
 
 

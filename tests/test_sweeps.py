@@ -6,9 +6,12 @@ every overpartition or basis element and read its statistics one by one.
 The distinct-part walk is compared with one recursion per part count.
 The last tests poison one kind of side's primitives and evaluate the other
 kind: a brute-force side that borrowed from the closed form it is checked
-against, or a closed side that enumerated, would fail.
+against, or a closed side that enumerated, would fail.  Each such pass
+starts from an empty sweep cache, so it walks instead of reading what an
+unpoisoned pass stored.
 """
 
+import random
 import sys
 from collections import Counter, defaultdict
 
@@ -25,6 +28,7 @@ from qpl.core import (
     smallest_positive_repeating_size,
 )
 from qpl.enumeration import (
+    _SWEEPS,
     ClassTag,
     basis_elements,
     basis_nodes,
@@ -51,10 +55,14 @@ N = 18
 
 
 @pytest.fixture
-def cold_sweeps(monkeypatch):
+def cold_sweeps():
     """An empty sweep cache, so the sweep under test runs at the asked
     truncation; the shared cache is restored afterwards."""
-    monkeypatch.setattr(identities, "_SWEEPS", {})
+    saved = dict(_SWEEPS)
+    _SWEEPS.clear()
+    yield
+    _SWEEPS.clear()
+    _SWEEPS.update(saved)
 
 
 # -- oracles: the object walks ----------------------------------------------
@@ -124,6 +132,17 @@ def object_basis_gf(elements, j, overlined, trunc):
     for lam in selected:
         acc = acc + ZQPoly.from_qseries(QSeries.monomial(lam.weight, 1, trunc), lam.overlined_count)
     return acc
+
+
+def walked_basis_gf(family, k, parts, j, overlined, trunc):
+    """basis_gf as one basis_nodes walk per call, without the shared
+    histograms."""
+    counts = Counter(
+        (node.weight, node.overlined)
+        for node in basis_nodes(family, k, trunc, parts)
+        if node.length == parts and node.top_size == j and node.top_overlined == overlined
+    )
+    return ZQPoly.from_counts(counts, trunc)
 
 
 def per_length_distinct_marked(k, s, trunc):
@@ -232,6 +251,45 @@ def test_basis_gf_matches_basis_elements_filter(family, k):
                         (parts, j, overlined, trunc)
 
 
+def test_shared_basis_histograms_match_one_walk_per_call(cold_sweeps):
+    # In a shuffled order the part count asked at a key rises mid-stream,
+    # so entries are read before and after they are walked again.
+    calls = [(family, k, parts, j, overlined, trunc)
+             for family in ("BL", "BF") for k in (1, 2, 3) for trunc in (12, 30)
+             for parts in range(1, 3 * k + 1) for j in range(1, parts + 2)
+             for overlined in (False, True)]
+    random.Random(16).shuffle(calls)
+    asked = {}
+    for call in calls:
+        assert basis_gf(*call) == walked_basis_gf(*call), call
+        family, k, parts, _, _, trunc = call
+        key = ("basis", family, k, trunc)
+        asked[key] = max(asked.get(key, 0), parts)
+        assert _SWEEPS[key][0] == asked[key], call  # the largest cap asked
+    assert set(_SWEEPS) == set(asked)
+
+
+def test_basis_histogram_keeps_its_truncation_and_cap(cold_sweeps, monkeypatch):
+    walks = _record_basis_walks(monkeypatch)
+    basis_gf("BF", 1, 3, 2, False, 30)
+    basis_gf("BF", 1, 9, 2, False, 12)  # another truncation: its own entry
+    assert {key: cached[0] for key, cached in _SWEEPS.items()} == {
+        ("basis", "BF", 1, 30): 3, ("basis", "BF", 1, 12): 9}
+    basis_gf("BF", 1, 2, 1, True, 30)  # fewer parts read the stored walk
+    assert _SWEEPS["basis", "BF", 1, 30][0] == 3
+    assert walks == [("BF", 1, 30, 3), ("BF", 1, 12, 9)]
+
+
+def test_basis_gf_refuses_bool_and_float_truncations_beside_cached_ones(cold_sweeps):
+    for trunc in (1, 3):
+        basis_gf("BL", 1, 2, 1, False, trunc)
+    # True and 3.0 hash equal to the stored keys at truncations 1 and 3
+    assert ("basis", "BL", 1, True) in _SWEEPS and ("basis", "BL", 1, 3.0) in _SWEEPS
+    for trunc in (True, 3.0):
+        with pytest.raises(ValueError):
+            basis_gf("BL", 1, 2, 1, False, trunc)
+
+
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_distinct_walk_matches_per_length_recursion(k):
     for s in range(1, k + 1):
@@ -274,25 +332,47 @@ ENUMERATORS = (
 )
 
 
+def _rebind(monkeypatch, name, replacement):
+    """Replace every qpl module's binding of ``name``."""
+    for module_name, module in list(sys.modules.items()):
+        if (module_name == "qpl" or module_name.startswith("qpl.")) and hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
+
+
 def _poison(monkeypatch, functions=POISONED_FUNCTIONS, methods=POISONED_METHODS):
     """Make every qpl binding of ``functions``, and ``methods``, raise."""
     def boom(*args, **kwargs):
         raise AssertionError("a poisoned primitive was called")
 
-    modules = [module for name, module in sys.modules.items()
-               if name == "qpl" or name.startswith("qpl.")]
-    for module in modules:
-        for name in functions:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, boom)
+    for name in functions:
+        _rebind(monkeypatch, name, boom)
     for cls, name in methods:
         monkeypatch.setattr(cls, name, boom)
+
+
+def _record_basis_walks(monkeypatch):
+    """Record the positional arguments of every basis_nodes call."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return basis_nodes(*args)
+
+    _rebind(monkeypatch, "basis_nodes", recorded)
+    return calls
+
+
+def _walked_every_basis_histogram(walks):
+    """Every basis histogram in the cache was walked by one of ``walks``."""
+    walked = {("basis",) + args[:3] for args in walks if len(args) == 4}
+    stored = {key for key in _SWEEPS if key[0] == "basis"}
+    return bool(stored) and walked == stored
 
 
 def _sweeps(trunc):
     """Every counting sweep, called directly, with its result."""
     out = {}
-    identities._SWEEPS.clear()
+    _SWEEPS.clear()
     for r in (1, 2, 3):
         out[("excludant", r)] = _excludant_sweep(r, trunc)
         for which in ("Thm2_1", "Thm2_2"):
@@ -311,19 +391,20 @@ def _sweeps(trunc):
     return out
 
 
-def test_sweeps_borrow_no_closed_form_primitive(monkeypatch):
-    monkeypatch.setattr(identities, "_SWEEPS", {})
+def test_sweeps_borrow_no_closed_form_primitive(monkeypatch, cold_sweeps):
     clean = _sweeps(12)
     _poison(monkeypatch)
     with pytest.raises(AssertionError):
         QSeries.one(3) * QSeries.one(3)  # the poison is in place
+    walks = _record_basis_walks(monkeypatch)
     assert _sweeps(12) == clean
+    assert _walked_every_basis_histogram(walks)
 
 
 def _catalog_sides(kind, trunc):
     """Per catalog instance with a side of ``kind``: every such side of every
     equation, evaluated, and what brute_force or closed_form returns."""
-    identities._SWEEPS.clear()
+    _SWEEPS.clear()
     api = brute_force if kind == "brute" else closed_form
     out = {}
     for identity, params, n in catalog_instances(trunc):
@@ -334,18 +415,18 @@ def _catalog_sides(kind, trunc):
     return out
 
 
-def test_brute_sides_borrow_no_closed_form_primitive(monkeypatch):
-    monkeypatch.setattr(identities, "_SWEEPS", {})
+def test_brute_sides_borrow_no_closed_form_primitive(monkeypatch, cold_sweeps):
     clean = _catalog_sides("brute", 12)
     assert len({identity for identity, _ in clean}) == 16
     _poison(monkeypatch)
     with pytest.raises(AssertionError):
         closed_form("I1", {}, 3)  # the poison is in place
+    walks = _record_basis_walks(monkeypatch)
     assert _catalog_sides("brute", 12) == clean
+    assert _walked_every_basis_histogram(walks)
 
 
-def test_closed_sides_call_no_enumerator(monkeypatch):
-    monkeypatch.setattr(identities, "_SWEEPS", {})
+def test_closed_sides_call_no_enumerator(monkeypatch, cold_sweeps):
     clean = _catalog_sides("closed", 12)
     assert len(clean) == len(catalog_instances(12))
     _poison(monkeypatch, ENUMERATORS, ())
