@@ -347,13 +347,23 @@ class BasisNode(NamedTuple):
 
 
 # The sweep cache: (kind, *params) -> (bound, data), for the counting sweeps
-# that many identity instances read.  ("excludant", r) holds the excludant
-# histograms up to truncation ``bound``; ("basis", family, k, trunc) holds
-# one basis_nodes walk at weight <= trunc and length <= ``bound``, counted by
-# (length, top size, top overline) -> {(weight, overlines): count}.  A larger
-# bound walks again; a basis entry never widens past the largest length asked
-# at its truncation.  clear() empties every kind.
+# that many identity instances read, filled only through _swept.
+# ("excludant", r) holds the excludant histograms up to truncation ``bound``;
+# ("basis", family, k, trunc) holds one basis_nodes walk at weight <= trunc
+# (any weight for None) and length <= ``bound``, counted by (length, top
+# size, top overline) -> {(weight, overlines): count}.  A larger bound walks
+# again; a basis entry never widens past the largest length asked at its
+# truncation.  clear() empties every kind.
 _SWEEPS: dict = {}
+
+
+def _swept(key, bound, build):
+    """The data stored at ``key`` if its bound is at least ``bound``, else
+    ``build()``, stored at ``key`` with ``bound`` in place of the old entry."""
+    cached = _SWEEPS.get(key)
+    if cached is None or cached[0] < bound:
+        cached = _SWEEPS[key] = (bound, build())
+    return cached[1]
 
 
 def basis_nodes(family: str, k: int, max_weight=None, max_length=None):

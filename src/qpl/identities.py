@@ -46,9 +46,9 @@ from .core import (
     smallest_positive_repeating_size,
 )
 from .enumeration import (
-    _SWEEPS,
     ClassTag,
     _profiles,
+    _swept,
     basis_nodes,
     weighted_profiles,
 )
@@ -188,7 +188,9 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
 # from the closed form it is compared with.
 #
 # The excludant histograms and the basis histograms behind basis_gf (I13,
-# I14) are shared through enumeration._SWEEPS.  The excludant histograms are
+# I14) live in one cache, enumeration._SWEEPS, read and filled through
+# enumeration._swept, which walks again only for a larger bound (the
+# truncation here, the part count there).  The excludant histograms are
 # keyed by weight-first tuples, so a smaller truncation reads them with a
 # filter; the per-weight counts and excludant totals are the q_projection and
 # z_moment of the mes histogram (the maes histogram for the maximal
@@ -197,9 +199,10 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
 
 
 def _excludant_sweep(r: int, trunc: int) -> dict:
-    cached = _SWEEPS.get(("excludant", r))
-    if cached is not None and cached[0] >= trunc:
-        return cached[1]
+    return _swept(("excludant", r), trunc, lambda: _excludant_histograms(r, trunc))
+
+
+def _excludant_histograms(r: int, trunc: int) -> dict:
     mes_hist = defaultdict(int)
     maes_hist = defaultdict(int)
     rep_hist = defaultdict(int)
@@ -212,9 +215,7 @@ def _excludant_sweep(r: int, trunc: int) -> dict:
             big = largest_repeating_size(pi, r)
             small = smallest_positive_repeating_size(pi, r) or 0
             rep_hist[(n, big, small)] += count
-    data = {"mes_hist": mes_hist, "maes_hist": maes_hist, "rep_hist": rep_hist}
-    _SWEEPS["excludant", r] = (trunc, data)
-    return data
+    return {"mes_hist": mes_hist, "maes_hist": maes_hist, "rep_hist": rep_hist}
 
 
 def _brute_rep_filtered(r: int, trunc: int, keep) -> QSeries:

@@ -20,7 +20,7 @@ from math import inf
 from operator import itemgetter, lt
 
 from .core import Convention, Overpartition, Partition
-from .enumeration import _SWEEPS, ClassTag, basis_nodes
+from .enumeration import ClassTag, _swept, basis_nodes
 from .series import ZQPoly, _check_ints
 
 
@@ -244,14 +244,21 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
     return witness
 
 
+def _basis_histogram(family: str, k: int, trunc, parts: int) -> dict:
+    hist = defaultdict(Counter)
+    for node in basis_nodes(family, k, trunc, parts):
+        hist[node.length, node.top_size, node.top_overlined][node.weight, node.overlined] += 1
+    return hist
+
+
 def basis_gf(family: str, k: int, parts: int, j: int, overlined: bool, trunc=None) -> ZQPoly:
     """Sum of z^(overline count) q^weight over basis elements with the given
     part count whose largest part is j (overlined or plain as requested).
 
     With no truncation given, the polynomial is computed exactly at the
-    largest weight that occurs (0 if the set is empty).  With one, the
-    counts come from the shared histogram of one :func:`basis_nodes` walk
-    per (family, k, trunc), walked again only when more parts are asked.
+    largest weight that occurs (0 if the set is empty).  The counts come
+    from the shared histogram of one :func:`basis_nodes` walk per
+    (family, k, trunc), walked again only when more parts are asked.
     """
     _check_ints(k=k, parts=parts, j=j)
     if trunc is not None:
@@ -260,22 +267,12 @@ def basis_gf(family: str, k: int, parts: int, j: int, overlined: bool, trunc=Non
         raise ValueError(f"overlined must be a bool, got {overlined!r}")
     if parts < 1:
         raise ValueError("parts must be >= 1")
+    hist = _swept(("basis", family, k, trunc), parts,
+                  lambda: _basis_histogram(family, k, trunc, parts))
+    counts = hist.get((parts, j, overlined), {})
     if trunc is None:
-        counts = Counter(
-            (node.weight, node.overlined)
-            for node in basis_nodes(family, k, None, parts)
-            if node.length == parts and node.top_size == j and node.top_overlined == overlined
-        )
         trunc = max((weight for weight, _ in counts), default=0)
-        return ZQPoly.from_counts(counts, trunc)
-    key = ("basis", family, k, trunc)
-    cached = _SWEEPS.get(key)
-    if cached is None or cached[0] < parts:
-        hist = defaultdict(Counter)
-        for node in basis_nodes(family, k, trunc, parts):
-            hist[node.length, node.top_size, node.top_overlined][node.weight, node.overlined] += 1
-        cached = _SWEEPS[key] = (parts, hist)
-    return ZQPoly.from_counts(cached[1].get((parts, j, overlined), {}), trunc)
+    return ZQPoly.from_counts(counts, trunc)
 
 
 def toggle_extreme_overline(lam: Overpartition, family: str) -> Overpartition:

@@ -142,6 +142,8 @@ def walked_basis_gf(family, k, parts, j, overlined, trunc):
         for node in basis_nodes(family, k, trunc, parts)
         if node.length == parts and node.top_size == j and node.top_overlined == overlined
     )
+    if trunc is None:
+        trunc = max((weight for weight, _ in counts), default=0)
     return ZQPoly.from_counts(counts, trunc)
 
 
@@ -255,7 +257,7 @@ def test_shared_basis_histograms_match_one_walk_per_call(cold_sweeps):
     # In a shuffled order the part count asked at a key rises mid-stream,
     # so entries are read before and after they are walked again.
     calls = [(family, k, parts, j, overlined, trunc)
-             for family in ("BL", "BF") for k in (1, 2, 3) for trunc in (12, 30)
+             for family in ("BL", "BF") for k in (1, 2, 3) for trunc in (None, 12, 30)
              for parts in range(1, 3 * k + 1) for j in range(1, parts + 2)
              for overlined in (False, True)]
     random.Random(16).shuffle(calls)
@@ -275,7 +277,8 @@ def test_basis_histogram_keeps_its_truncation_and_cap(cold_sweeps, monkeypatch):
     basis_gf("BF", 1, 9, 2, False, 12)  # another truncation: its own entry
     assert {key: cached[0] for key, cached in _SWEEPS.items()} == {
         ("basis", "BF", 1, 30): 3, ("basis", "BF", 1, 12): 9}
-    basis_gf("BF", 1, 2, 1, True, 30)  # fewer parts read the stored walk
+    basis_gf("BF", 1, 2, 1, True, 30)  # fewer parts read the stored walk,
+    basis_gf("BF", 1, 3, 1, True, 30)  # and so do as many
     assert _SWEEPS["basis", "BF", 1, 30][0] == 3
     assert walks == [("BF", 1, 30, 3), ("BF", 1, 12, 9)]
 
