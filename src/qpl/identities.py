@@ -35,7 +35,7 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import zip_longest
+from itertools import count, islice, takewhile, zip_longest
 from math import comb
 
 from .core import (
@@ -156,12 +156,7 @@ def _diff(ref, other):
 
 def overpartition_series(trunc: int) -> QSeries:
     """Generating function counting all overpartitions by weight."""
-    return _tail_series(1, trunc)
-
-
-def _tail_series(n: int, trunc: int) -> QSeries:
-    """Overpartitions whose parts all have size >= n."""
-    return q_pochhammer(-1, n, None, trunc) / q_pochhammer(1, n, None, trunc)
+    return q_pochhammer(-1, 1, None, trunc) / q_pochhammer(1, 1, None, trunc)
 
 
 def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
@@ -292,37 +287,43 @@ def _closed_i1_sum(trunc: int, start: int) -> QSeries:
     return overpartition_series(trunc) * total
 
 
+def _stepped_product(r: int, trunc: int, divide: bool):
+    """Yield, for limit = 1, 2, ..., the overpartitions whose sizes below
+    limit occur at most r times and whose larger sizes are free; with
+    ``divide``, the reverse: sizes below limit free, larger ones at most r
+    times.  Raising the limit past l trades size l's free factor
+    (1 + q^l) / (1 - q^l) for omega_l, so both directions share one step,
+    (1 + q^l - 2 q^((r+1)l)) / (1 + q^l), applied in place as a product or
+    as a quotient.  The step is 1 once (r+1) l > trunc, so stepping stops
+    there; every yield is a fresh series."""
+    start = omega_product(1, None, r, trunc) if divide else overpartition_series(trunc)
+    out = list(start.coeffs)
+    for limit in count(1):
+        yield QSeries._make(out, trunc)
+        if (r + 1) * limit <= trunc:
+            _apply_factors(out, [((limit, 1), ((r + 1) * limit, -2))], divide)
+            _apply_factors(out, [((limit, 1),)], not divide)
+
+
 def _partial_rep(form: str, r: int, trunc: int):
-    """``limit -> series`` of the overpartitions whose largest repeating size
-    is at most limit-1, in the form asked for; the one place the form is
-    decided (see FORM_DEFAULT).  "corrected" leaves sizes below limit
-    unrestricted and takes sizes >= limit at most r times each; "subtracted"
-    is the complement form that restricts small sizes it must leave free."""
+    """Yield, for limit = 1, 2, ..., the overpartitions whose largest
+    repeating size is at most limit-1, in the form asked for; the one place
+    the form is decided (see FORM_DEFAULT).  "corrected" is the stepped
+    product with small sizes free; "subtracted" is the complement of the
+    reverse product, which restricts small sizes it must leave free."""
     if form == "corrected":
-        return lambda limit: (
-            q_pochhammer(-1, 1, limit - 1, trunc)
-            / q_pochhammer(1, 1, limit - 1, trunc)
-            * omega_product(limit, None, r, trunc)
-        )
+        return _stepped_product(r, trunc, True)
     fixed = overpartition_series(trunc) + omega_product(1, None, r, trunc)
-    prefix = [QSeries.one(trunc)]  # prefix[t]: the omega factors at sizes 1..t
-
-    def subtracted(limit):
-        while len(prefix) < limit:
-            prefix.append(prefix[-1] * omega_product(len(prefix), 1, r, trunc))
-        return fixed - prefix[limit - 1] * _tail_series(limit, trunc)
-
-    return subtracted
+    return (fixed - product for product in _stepped_product(r, trunc, False))
 
 
 def _closed_sigma_mes(r: int, trunc: int, form: str) -> QSeries:
     # Term n is exact in both forms: omega_n has constant term 1, and the
-    # corrected partial(n) / omega_n is the product over sizes > n.
-    partial = _partial_rep(form, r, trunc)
+    # corrected partial at limit n over omega_n is the product over sizes > n.
     total = overpartition_series(trunc)
-    for n in range(1, trunc + 1):
+    for n, partial in zip(range(1, trunc + 1), _partial_rep(form, r, trunc)):
         total = total + (
-            _excludant_numerator(n, r, trunc) * partial(n) / omega_product(n, 1, r, trunc)
+            _excludant_numerator(n, r, trunc) * partial / omega_product(n, 1, r, trunc)
         )
     return total
 
@@ -336,33 +337,27 @@ def _closed_sigma_maes(r: int, trunc: int, w_reading: str) -> QSeries:
         for e in range(n, trunc + 1, 2 * n):
             lamb[e] += 2
     total = total + big * QSeries(lamb, trunc)
-    partial = QSeries.one(trunc)
-    for n in range(1, trunc + 1):
+    # Term n: q^n omega_1 ... omega_(n-1) (-q^(n+1);q)_inf / (q^n;q)_inf (1 + w),
+    # the stepped product at limit n over (1 + q^n), times q^n (1 + w).
+    omegas = QSeries.one(trunc)
+    for n, product in zip(range(1, trunc + 1), _stepped_product(r, trunc, False)):
         w_n = omega_product(n, 1, r, trunc)
         if w_reading == "omega_n":
             w_term = w_n
         elif w_reading == "omega_1_n":
-            w_term = partial * w_n
+            w_term = omegas = omegas * w_n
         else:
             raise ValueError(f"unknown w reading {w_reading!r}")
-        term = (
-            QSeries.monomial(n, 1, trunc)
-            * partial
-            * q_pochhammer(-1, n + 1, None, trunc)
-            / q_pochhammer(1, n, None, trunc)
-            * (QSeries.one(trunc) + w_term)
-        )
-        total = total - term
-        partial = partial * w_n
+        q_n = QSeries.monomial(n, 1, trunc)
+        total = total - q_n * product / (q_n + 1) * (w_term + 1)
     return total
 
 
 def _closed_bridge_rhs(trunc: int, form: str) -> QSeries:
-    partial = _partial_rep(form, 1, trunc)
     total = QSeries.zero(trunc)
-    for n in range(1, trunc + 1):
+    for n, partial in zip(range(1, trunc + 1), _partial_rep(form, 1, trunc)):
         factor = QSeries.monomial(n, 2, trunc) / q_pochhammer(-2, n, 1, trunc)
-        total = total + factor * partial(n)
+        total = total + factor * partial
     return total
 
 
@@ -389,9 +384,10 @@ def _smallest_rep_term(j: int, r: int, trunc: int) -> QSeries:
 
 
 def _stratified_sum(term, r: int, trunc: int, sizes) -> QSeries:
-    """The sum of ``term(j, r, trunc)`` over the repeating sizes j in
-    ``sizes`` that fit below the truncation, (r+1) j <= trunc."""
-    return sum((term(j, r, trunc) for j in sizes if (r + 1) * j <= trunc), QSeries.zero(trunc))
+    """The sum of ``term(j, r, trunc)`` over the ascending repeating sizes j
+    in ``sizes`` that fit below the truncation, (r+1) j <= trunc."""
+    fits = takewhile(lambda j: (r + 1) * j <= trunc, sizes)
+    return sum((term(j, r, trunc) for j in fits), QSeries.zero(trunc))
 
 
 def _closed_mes_marked(r: int, trunc: int) -> ZQPoly:
@@ -566,7 +562,9 @@ def _build_i6(p, n):
     return [[
         Side("partial sum over largest repeating size", "closed",
              lambda: _stratified_sum(_rep_size_term, r, n, range(limit))),
-        Side("complement form", "closed", lambda: _partial_rep(form, r, n)(limit)),
+        # the partials stop changing by limit n + 1; a larger bound reads that one
+        Side("complement form", "closed",
+             lambda: next(islice(_partial_rep(form, r, n), min(limit, n + 1) - 1, None))),
         Side("enumerated counts", "brute",
              lambda: _brute_rep_filtered(r, n, lambda big, small: big <= limit - 1)),
     ]]
@@ -598,9 +596,10 @@ def _build_i9(p, n):
     return [[
         Side("partial sum over smallest repeating size", "closed",
              lambda: _stratified_sum(_smallest_rep_term, r, n, range(1, limit + 1))),
+        # sizes up to m at most r times and larger ones free, at limit m + 1
         Side("complement form", "closed",
              lambda: overpartition_series(n)
-             - omega_product(1, limit, r, n) * _tail_series(limit + 1, n)),
+             - next(islice(_stepped_product(r, n, False), min(limit, n), None))),
         Side("enumerated counts", "brute",
              lambda: _brute_rep_filtered(r, n, lambda big, small: 0 < small <= limit)),
     ]]

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,18 @@ def test_verify_grid_when_params_partial():
                        "--trunc", "15", "--format", "tsv"])
     assert code == 0
     assert text.splitlines() == ["I9\tm=3,r=2\t15\tpass\t0"]
+
+
+def test_verify_bound_far_above_the_truncation():
+    # Any positive --n is accepted; past the truncation it costs no more.
+    start = time.perf_counter()
+    code, text = _run(["verify", "--identity", "I6", "--r", "1", "--n", "1000000000",
+                       "--trunc", "10", "--format", "tsv"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert text.splitlines() == [
+        f"I6\tform={form},n=1000000000,r=1\t10\tpass\t0" for form in ("subtracted", "corrected")
+    ]
 
 
 def test_verify_guard_is_usage_error():

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import time
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -20,7 +22,7 @@ from qpl.identities import (
     verify,
     verify_all,
 )
-from qpl.series import QSeries, ZQPoly, gaussian_binomial
+from qpl.series import QSeries, ZQPoly, gaussian_binomial, omega_product, q_pochhammer
 
 
 def test_catalog_is_complete():
@@ -348,3 +350,91 @@ def test_verify_all_subset_runs_in_catalog_order():
     assert [r.identity for r in reports] == \
         ["I15"] + ["I16"] * len(default_grid("I16")) + ["I17"] * len(default_grid("I17"))
     assert all(r.passed for r in reports)
+
+
+# -- stepped partial sums against the rebuilt ones -----------------------------
+#
+# The oracles rebuild every partial sum and every I3 term from dense
+# q-Pochhammers, as the closed forms did before they stepped one product.
+
+
+def _rebuilt_partial(form, r, trunc, limit):
+    """The overpartitions whose largest repeating size is at most limit-1,
+    built afresh for this limit."""
+    if form == "corrected":
+        return (q_pochhammer(-1, 1, limit - 1, trunc) / q_pochhammer(1, 1, limit - 1, trunc)
+                * omega_product(limit, None, r, trunc))
+    tail = q_pochhammer(-1, limit, None, trunc) / q_pochhammer(1, limit, None, trunc)
+    fixed = overpartition_series(trunc) + omega_product(1, None, r, trunc)
+    return fixed - omega_product(1, limit - 1, r, trunc) * tail
+
+
+def _rebuilt_sigma_maes(r, trunc, w_reading):
+    big = overpartition_series(trunc)
+    total = (big - omega_product(1, None, r, trunc)) * r
+    lamb = [0] * (trunc + 1)
+    for n in range(1, trunc + 1):
+        for e in range(n, trunc + 1, 2 * n):
+            lamb[e] += 2
+    total = total + big * QSeries(lamb, trunc)
+    partial = QSeries.one(trunc)
+    for n in range(1, trunc + 1):
+        w_n = omega_product(n, 1, r, trunc)
+        w_term = w_n if w_reading == "omega_n" else partial * w_n
+        term = (
+            QSeries.monomial(n, 1, trunc)
+            * partial
+            * q_pochhammer(-1, n + 1, None, trunc)
+            / q_pochhammer(1, n, None, trunc)
+            * (QSeries.one(trunc) + w_term)
+        )
+        total = total - term
+        partial = partial * w_n
+    return total
+
+
+ORACLE_TRUNCS = (*range(13), 25, 40, 120)
+
+
+@pytest.mark.parametrize("form", identities.FORMS)
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_stepped_partials_match_rebuilt_ones(form, r):
+    for trunc in ORACLE_TRUNCS:
+        stepped = list(islice(identities._partial_rep(form, r, trunc), trunc + 2))
+        for limit, partial in enumerate(stepped, 1):
+            assert partial == _rebuilt_partial(form, r, trunc, limit), (trunc, limit)
+
+
+@pytest.mark.parametrize("w_reading", identities.W_READINGS)
+def test_stepped_maes_terms_match_rebuilt_ones(w_reading):
+    for r in (1, 2, 3):
+        for trunc in ORACLE_TRUNCS:
+            want = _rebuilt_sigma_maes(r, trunc, w_reading)
+            assert identities._closed_sigma_maes(r, trunc, w_reading) == want, (r, trunc)
+
+
+def test_partial_sum_closed_sides_build_no_pochhammer_per_bound(monkeypatch):
+    calls = _count_calls(monkeypatch, "q_pochhammer")
+    for identity, params in (("I2", {"r": 1, "form": "subtracted"}),
+                             ("I2", {"r": 1, "form": "corrected"}), ("I3", {"r": 2})):
+        counts = []
+        for trunc in (10, 40):
+            calls.clear()
+            closed_form(identity, params, trunc)
+            counts.append(sum(calls.values()))
+        assert counts[0] == counts[1], (identity, params, counts)
+
+
+def test_bounds_far_above_the_truncation_are_clamped():
+    # The partials stop changing at limit trunc + 1 and the stratified sums
+    # stop at the first size past the truncation, so a huge bound costs no
+    # more than trunc + 1.
+    cases = [("I6", {"r": 1, "form": form}, "n") for form in identities.FORMS]
+    cases.append(("I9", {"r": 1}, "m"))
+    for identity, params, name in cases:
+        start = time.perf_counter()
+        huge, near = dict(params, **{name: 10**9}), dict(params, **{name: 11})
+        report = verify(identity, huge, 10)
+        assert time.perf_counter() - start < 2.0
+        assert report.mismatches == verify(identity, near, 10).mismatches
+        assert closed_form(identity, huge, 10) == closed_form(identity, near, 10)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpl.series import (
     QSeries,
@@ -418,3 +419,49 @@ def test_dump_format():
     assert QSeries([1, 0, -2], 2).dump() == "0\t1\n1\t0\n2\t-2"
     p = _zq_monomial(1, 0, 3, 1)
     assert p.dump() == "z 1\n0\t3\n1\t0"
+
+
+# -- ring laws (derandomized, bounded) ------------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def series_triples(draw, unit_last=False):
+    """Three series at one truncation up to 12; ``unit_last`` gives the
+    third a constant term of +1 or -1."""
+    n = draw(st.integers(0, 12))
+    coeffs = st.lists(st.integers(-20, 20), min_size=n + 1, max_size=n + 1)
+    a, b, c = (draw(coeffs) for _ in range(3))
+    if unit_last:
+        c[0] = draw(st.sampled_from((1, -1)))
+    return QSeries(a, n), QSeries(b, n), QSeries(c, n)
+
+
+@PROPERTY
+@given(series_triples())
+def test_sum_and_product_are_commutative_and_associative(abc):
+    a, b, c = abc
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@PROPERTY
+@given(series_triples(unit_last=True))
+def test_quotient_undoes_product_by_a_unit_series(abc):
+    a, _, b = abc
+    assert (a * b) / b == a
+
+
+@PROPERTY
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=13),
+       st.lists(st.dictionaries(st.integers(1, 15), st.integers(-5, 5).filter(bool),
+                                min_size=1, max_size=3), max_size=4))
+def test_sparse_quotient_undoes_sparse_product(coeffs, factors):
+    factors = [sorted(f.items()) for f in factors]
+    out = list(coeffs)
+    _apply_factors(out, factors)
+    _apply_factors(out, factors, divide=True)
+    assert out == coeffs
