@@ -340,20 +340,17 @@ class BasisNode(NamedTuple):
     top_size: int  # the largest size
     top_overlined: bool  # the first written part is overlined
     smallest_overlined: bool  # size 1 carries an overline
-    # The largest size carries an overline.  Under BL the overline sits on
-    # the bottom part of its block, so "2,2~,1" has a plain first part but
-    # an overlined largest size.
-    largest_overlined: bool
 
 
 # The sweep cache: (kind, *params) -> (bound, data), for the counting sweeps
 # that many identity instances read, filled only through _swept.
 # ("excludant", r) holds the excludant histograms up to truncation ``bound``;
 # ("basis", family, k, trunc) holds one basis_nodes walk at weight <= trunc
-# (any weight for None) and length <= ``bound``, counted by (length, top
-# size, top overline) -> {(weight, overlines): count}.  A larger bound walks
-# again; a basis entry never widens past the largest length asked at its
-# truncation.  clear() empties every kind.
+# (any weight for None) and length <= ``bound``, counted as {(weight,
+# overlines): count} by (length, top size, top overline) for basis_gf and by
+# (length mod k, end overline) for the I18/I19 sides.  A larger
+# bound walks again; a basis entry never widens past the largest length
+# asked at its truncation.  clear() empties every kind.
 _SWEEPS: dict = {}
 
 
@@ -375,7 +372,7 @@ def basis_nodes(family: str, k: int, max_weight=None, max_length=None):
     _, allowed = _basis_family(family, k)
     if max_weight is None and max_length is None:
         raise ValueError("give max_weight or max_length")
-    stack = [BasisNode(0, 0, 0, 0, False, False, False)]  # the empty prefix
+    stack = [BasisNode(0, 0, 0, 0, False, False)]  # the empty prefix
     while stack:
         node = stack.pop()
         if node.length:
@@ -395,7 +392,6 @@ def basis_nodes(family: str, k: int, max_weight=None, max_length=None):
                 size,
                 over,
                 node.smallest_overlined or (over and size == 1),
-                over or (node.largest_overlined and size == node.top_size),
             ))
 
 

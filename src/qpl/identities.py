@@ -35,7 +35,7 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import count, islice, takewhile, zip_longest
+from itertools import count, islice, zip_longest
 from math import comb
 
 from .core import (
@@ -49,16 +49,16 @@ from .enumeration import (
     ClassTag,
     _profiles,
     _swept,
-    basis_nodes,
     weighted_profiles,
 )
-from .separable import basis_gf, _length_residue, _overlinable_sizes
+from .separable import _basis_histograms, _overlinable_sizes, basis_gf
 from .series import (
     QSeries,
     ZQPoly,
     _apply_factors,
     _apply_z_factors,
     _binomial_ladder,
+    _omega_factor,
     gaussian_binomial,
     omega_product,
     one_plus_zq_product,
@@ -182,15 +182,16 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
 # Each sweep still visits every profile or basis element and borrows nothing
 # from the closed form it is compared with.
 #
-# The excludant histograms and the basis histograms behind basis_gf (I13,
-# I14) live in one cache, enumeration._SWEEPS, read and filled through
-# enumeration._swept, which walks again only for a larger bound (the
-# truncation here, the part count there).  The excludant histograms are
-# keyed by weight-first tuples, so a smaller truncation reads them with a
-# filter; the per-weight counts and excludant totals are the q_projection and
-# z_moment of the mes histogram (the maes histogram for the maximal
-# excludant, whose zero values add nothing to the total).  The I18 and I19
-# walks have no length cap, so they run per call.
+# The excludant histograms and the basis histograms live in one cache,
+# enumeration._SWEEPS, read and filled through enumeration._swept, which
+# walks again only for a larger bound (the truncation here, the part count
+# there).  basis_gf (I13, I14) and the I18/I19 sides read one basis walk per
+# (family, k, truncation); I18 and I19 ask it for trunc parts, which caps
+# nothing.  The excludant histograms are keyed by weight-first tuples, so a
+# smaller truncation reads them with a filter; the per-weight counts and
+# excludant totals are the q_projection and z_moment of the mes histogram
+# (the maes histogram for the maximal excludant, whose zero values add
+# nothing to the total).
 
 
 def _excludant_sweep(r: int, trunc: int) -> dict:
@@ -233,25 +234,12 @@ def _brute_class_marked(family: str, k: int, trunc: int) -> ZQPoly:
     return ZQPoly.from_counts(hist, trunc)
 
 
-def _brute_basis_marked(family: str, k: int, trunc: int, keep) -> ZQPoly:
-    """Basis elements of weight <= trunc whose :class:`BasisNode` passes
-    ``keep``, marked by their overline count."""
-    hist = Counter(
-        (node.weight, node.overlined)
-        for node in basis_nodes(family, k, trunc)
-        if keep(node)
-    )
-    return ZQPoly.from_counts(hist, trunc)
-
-
-def _brute_basis_residue(family: str, k: int, s: int, overlined: bool, trunc: int) -> ZQPoly:
-    """Basis elements whose length is s (mod k) and whose end part (the
-    smallest under BL, the largest under BF) is overlined or plain, as asked."""
-    end = "smallest_overlined" if family == "BL" else "largest_overlined"
-    return _brute_basis_marked(
-        family, k, trunc,
-        lambda node: _length_residue(node.length, k) == s and getattr(node, end) == overlined,
-    )
+def _brute_basis_marked(family: str, k: int, s: int, overlined: bool, trunc: int) -> ZQPoly:
+    """Basis elements of weight <= trunc whose length is s (mod k) and whose
+    end part (the smallest under BL, the largest under BF) is overlined or
+    plain, as asked, marked by their overline count."""
+    by_end = _basis_histograms(family, k, trunc, trunc)[1]
+    return ZQPoly.from_counts(by_end.get((s % k, overlined), {}), trunc)
 
 
 def _brute_distinct_marked(k: int, s: int, trunc: int) -> ZQPoly:
@@ -361,63 +349,74 @@ def _closed_bridge_rhs(trunc: int, form: str) -> QSeries:
     return total
 
 
-def _rep_size_head(j: int, r: int, trunc: int) -> QSeries:
-    """q^((r+1)j) (-1;q)_j / (q;q)_j: the sizes up to j, with j repeated
-    more than r times (1 at j = 0)."""
-    base = QSeries.monomial((r + 1) * j, 1, trunc) * q_pochhammer(-1, 0, j, trunc)
-    return base / q_pochhammer(1, 1, j, trunc)
+def _rep_size_heads(r: int, trunc: int):
+    """Yield, for j = 0, 1, ... while (r+1) j <= trunc, q^((r+1)j) (-1;q)_j /
+    (q;q)_j: the sizes up to j, j repeated more than r times (1 at j = 0),
+    each the one before times q^(r+1) (1 + q^(j-1)) / (1 - q^j)."""
+    head = [1] + [0] * trunc
+    for j in count(1):
+        yield tuple(head)
+        if (r + 1) * j > trunc:
+            return
+        head = [0] * (r + 1) + head[: trunc - r]
+        _apply_factors(head, [((j - 1, 1),)])  # 1 + q^0 = 2 at j = 1
+        _apply_factors(head, [((j, -1),)], divide=True)
 
 
-def _rep_size_term(j: int, r: int, trunc: int) -> QSeries:
-    """Overpartitions whose largest repeating size is exactly j."""
-    return _rep_size_head(j, r, trunc) * omega_product(j + 1, None, r, trunc)
+def _largest_rep_sum(r: int, trunc: int, limit: int) -> QSeries:
+    # Largest repeating size below limit: sum_(j < limit) head j
+    # prod_(t > j) omega_t, summed Horner-style as in I7, without z.
+    total = [0] * (trunc + 1)
+    for j, head in zip(range(limit), _rep_size_heads(r, trunc)):
+        total = [a + b for a, b in zip(total, head)]
+        _apply_factors(total, [_omega_factor(j + 1, r, trunc)])
+    _apply_factors(total, [_omega_factor(t, r, trunc) for t in range(j + 2, trunc + 1)])
+    return QSeries._make(total, trunc)
 
 
-def _smallest_rep_term(j: int, r: int, trunc: int) -> QSeries:
-    """Overpartitions whose smallest positive repeating size is exactly j."""
-    return (
-        QSeries.monomial((r + 1) * j, 2, trunc)
-        * omega_product(1, j - 1, r, trunc)
-        * q_pochhammer(-1, j + 1, None, trunc)
-        / q_pochhammer(1, j, None, trunc)
-    )
-
-
-def _stratified_sum(term, r: int, trunc: int, sizes) -> QSeries:
-    """The sum of ``term(j, r, trunc)`` over the ascending repeating sizes j
-    in ``sizes`` that fit below the truncation, (r+1) j <= trunc."""
-    fits = takewhile(lambda j: (r + 1) * j <= trunc, sizes)
-    return sum((term(j, r, trunc) for j in fits), QSeries.zero(trunc))
+def _smallest_rep_sum(r: int, trunc: int, limit: int) -> QSeries:
+    # Smallest positive repeating size at most limit: term j is
+    # 2 q^((r+1)j) P_j / (1 + q^j), P_j the stepped product at limit j.
+    total = [0] * (trunc + 1)
+    for j, product in zip(range(1, limit + 1), _stepped_product(r, trunc, False)):
+        shift = (r + 1) * j
+        if shift > trunc:
+            break
+        term = list(product.coeffs[: trunc + 1 - shift])
+        _apply_factors(term, [((j, 1),)], divide=True)
+        total[shift:] = [a + 2 * b for a, b in zip(total[shift:], term)]
+    return QSeries._make(total, trunc)
 
 
 def _closed_mes_marked(r: int, trunc: int) -> ZQPoly:
     # z sum_j q^((r+1)j) (-1;q)_j / (q;q)_j prod_{t > j} omega_t(z), where
     # omega_t(z) = 1 + 2 z q^t + 2 z^2 q^(2t) + ... + 2 z^r q^(rt).  Summed
-    # Horner-style, innermost term first: add term j to the z-rows, then
+    # Horner-style, innermost term first: add head j to the z-rows, then
     # apply omega_(j+1), so each factor is applied once, in place.
     def omega(t):
         return [(i, i * t, 2) for i in range(1, min(r, trunc // t) + 1)]
 
-    last = trunc // (r + 1)
     rows = [[0] * (trunc + 1)]
-    for j in range(last + 1):
-        rows[0] = [a + b for a, b in zip(rows[0], _rep_size_head(j, r, trunc).coeffs)]
+    for j, head in enumerate(_rep_size_heads(r, trunc)):
+        rows[0] = [a + b for a, b in zip(rows[0], head)]
         _apply_z_factors(rows, [omega(j + 1)])
-    _apply_z_factors(rows, [omega(t) for t in range(last + 2, trunc + 1)])
+    _apply_z_factors(rows, [omega(t) for t in range(j + 2, trunc + 1)])
     return ZQPoly._make([[0] * (trunc + 1)] + rows, trunc)
 
 
 def _closed_maes_marked(r: int, trunc: int) -> ZQPoly:
     # z^r sum_{j >= 1} 2 q^((r+1)j) omega_{1..j-1}(q) prod_{e > j} (1 + z q^e)
     # prod_{e >= j} 1 / (1 - z q^e), summed as in I7, each 1 / (1 - z q^e)
-    # applied as a quotient
+    # applied as a quotient; 2 omega_1 ... omega_(j-1) is a running prefix
     last = trunc // (r + 1)
     rows = [[0] * (trunc + 1)]
+    prefix = [2] + [0] * trunc
     for j in range(1, last + 1):
-        base = QSeries.monomial((r + 1) * j, 2, trunc) * omega_product(1, j - 1, r, trunc)
-        rows[0] = [a + b for a, b in zip(rows[0], base.coeffs)]
+        shift = (r + 1) * j
+        rows[0][shift:] = [a + b for a, b in zip(rows[0][shift:], prefix)]
         _apply_z_factors(rows, [[(1, j + 1, 1)]])
         _apply_z_factors(rows, [[(1, j, -1)]], divide=True)
+        _apply_factors(prefix, [_omega_factor(j, r, trunc)])
     _apply_z_factors(rows, [[(1, e, 1)] for e in range(last + 2, trunc + 1)])
     _apply_z_factors(rows, [[(1, e, -1)] for e in range(last + 1, trunc + 1)], divide=True)
     return ZQPoly._make([[0] * (trunc + 1)] * r + rows, trunc)
@@ -550,7 +549,7 @@ def _build_i5(p, n):
     r = p["r"]
     return [[
         Side("sum over largest repeating size", "closed",
-             lambda: _stratified_sum(_rep_size_term, r, n, range(n + 1))),
+             lambda: _largest_rep_sum(r, n, n + 1)),
         Side("overpartition series", "closed", lambda: overpartition_series(n)),
         Side("enumerated counts", "brute",
              lambda: ZQPoly.from_counts(_excludant_sweep(1, n)["mes_hist"], n).q_projection()),
@@ -561,7 +560,7 @@ def _build_i6(p, n):
     r, limit, form = p["r"], p["n"], p["form"]
     return [[
         Side("partial sum over largest repeating size", "closed",
-             lambda: _stratified_sum(_rep_size_term, r, n, range(limit))),
+             lambda: _largest_rep_sum(r, n, limit)),
         # the partials stop changing by limit n + 1; a larger bound reads that one
         Side("complement form", "closed",
              lambda: next(islice(_partial_rep(form, r, n), min(limit, n + 1) - 1, None))),
@@ -583,7 +582,7 @@ def _build_i8(p, n):
     r = p["r"]
     return [[
         Side("sum over smallest repeating size", "closed",
-             lambda: _stratified_sum(_smallest_rep_term, r, n, range(1, n + 1))),
+             lambda: _smallest_rep_sum(r, n, n)),
         Side("complement form", "closed",
              lambda: overpartition_series(n) - omega_product(1, None, r, n)),
         Side("enumerated counts", "brute",
@@ -595,7 +594,7 @@ def _build_i9(p, n):
     r, limit = p["r"], p["m"]
     return [[
         Side("partial sum over smallest repeating size", "closed",
-             lambda: _stratified_sum(_smallest_rep_term, r, n, range(1, limit + 1))),
+             lambda: _smallest_rep_sum(r, n, limit)),
         # sizes up to m at most r times and larger ones free, at limit m + 1
         Side("complement form", "closed",
              lambda: overpartition_series(n)
@@ -691,13 +690,13 @@ def _build_i18(p, n):
         [
             Side("product form", "closed", closed),
             Side("basis elements, overlined smallest part", "brute",
-                 lambda: _brute_basis_residue("BL", k, s, True, n)),
+                 lambda: _brute_basis_marked("BL", k, s, True, n)),
             Side("distinct congruent partitions", "brute", lambda: _brute_distinct_marked(k, s, n)),
         ],
         [
             Side("product form over z", "closed", lambda: closed().z_shift(-1)),
             Side("basis elements, plain smallest part", "brute",
-                 lambda: _brute_basis_residue("BL", k, s, False, n)),
+                 lambda: _brute_basis_marked("BL", k, s, False, n)),
         ],
     ]
 
@@ -711,13 +710,13 @@ def _build_i19(p, n):
         [
             Side("product form", "closed", lambda: closed(k)),
             Side("basis elements, overlined largest part", "brute",
-                 lambda: _brute_basis_residue("BF", k, k, True, n)),
+                 lambda: _brute_basis_marked("BF", k, k, True, n)),
             Side("distinct congruent partitions", "brute", lambda: distinct(k)),
         ],
         [
             Side("product form over z", "closed", lambda: closed(s).z_shift(-1)),
             Side("basis elements, plain largest part", "brute",
-                 lambda: _brute_basis_residue("BF", k, s, False, n)),
+                 lambda: _brute_basis_marked("BF", k, s, False, n)),
             Side("distinct congruent partitions over z", "brute",
                  lambda: distinct(s).z_shift(-1)),
         ],

@@ -244,11 +244,19 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
     return witness
 
 
-def _basis_histogram(family: str, k: int, trunc, parts: int) -> dict:
-    hist = defaultdict(Counter)
-    for node in basis_nodes(family, k, trunc, parts):
-        hist[node.length, node.top_size, node.top_overlined][node.weight, node.overlined] += 1
-    return hist
+def _basis_histograms(family: str, k: int, trunc, parts: int) -> tuple:
+    """The histograms of the one :func:`basis_nodes` walk per (family, k,
+    trunc), laid out as enumeration._SWEEPS says, up to ``parts`` parts."""
+    def walk():
+        by_top, by_end = defaultdict(Counter), defaultdict(Counter)
+        nodes = basis_nodes(family, k, trunc, parts)
+        for weight, overlines, length, top, top_over, low_over in nodes:
+            by_top[length, top, top_over][weight, overlines] += 1
+            end = low_over if family == "BL" else top_over
+            by_end[length % k, end][weight, overlines] += 1
+        return by_top, by_end
+
+    return _swept(("basis", family, k, trunc), parts, walk)
 
 
 def basis_gf(family: str, k: int, parts: int, j: int, overlined: bool, trunc=None) -> ZQPoly:
@@ -257,8 +265,7 @@ def basis_gf(family: str, k: int, parts: int, j: int, overlined: bool, trunc=Non
 
     With no truncation given, the polynomial is computed exactly at the
     largest weight that occurs (0 if the set is empty).  The counts come
-    from the shared histogram of one :func:`basis_nodes` walk per
-    (family, k, trunc), walked again only when more parts are asked.
+    from the shared histograms of :func:`_basis_histograms`.
     """
     _check_ints(k=k, parts=parts, j=j)
     if trunc is not None:
@@ -267,9 +274,7 @@ def basis_gf(family: str, k: int, parts: int, j: int, overlined: bool, trunc=Non
         raise ValueError(f"overlined must be a bool, got {overlined!r}")
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    hist = _swept(("basis", family, k, trunc), parts,
-                  lambda: _basis_histogram(family, k, trunc, parts))
-    counts = hist.get((parts, j, overlined), {})
+    counts = _basis_histograms(family, k, trunc, parts)[0].get((parts, j, overlined), {})
     if trunc is None:
         trunc = max((weight for weight, _ in counts), default=0)
     return ZQPoly.from_counts(counts, trunc)

@@ -31,9 +31,9 @@ def _check_ints(**values):
 
 def _apply_factors(coeffs, factors, divide=False):
     """Multiply the truncated series ``coeffs`` in place by each sparse
-    factor 1 + sum(c q^e), given as (e, c) pairs in ascending e, every
-    e >= 1; or divide it by each.  A product runs from the top index down
-    and a quotient from the bottom up, so every entry read is final."""
+    factor 1 + sum(c q^e), given as (e, c) pairs in ascending e; or divide
+    it by each, every e >= 1.  A product runs from the top index down and a
+    quotient from the bottom up, so every entry read is final."""
     n = len(coeffs) - 1
     for factor in factors:
         if len(factor) == 1:  # one tight loop for (1 + c q^e)
@@ -251,8 +251,6 @@ def q_pochhammer(coef: int, offset: int, count, trunc: int, step: int = 1) -> QS
         raise ValueError("offset must be >= 0 and step >= 1")
     exponents = range(offset, trunc + 1, step)[:count]
     out = [1] + [0] * trunc
-    if exponents and exponents[0] == 0:  # the constant factor (1 - coef)
-        out[0], exponents = 1 - coef, exponents[1:]
     _apply_factors(out, [((e, -coef),) for e in exponents])
     return QSeries._make(out, trunc)
 
@@ -268,11 +266,13 @@ def omega_product(m: int, count, r: int, trunc: int) -> QSeries:
     if m < 1 or r < 1:
         raise ValueError("m and r must be >= 1")
     out = [1] + [0] * trunc
-    _apply_factors(out, [
-        [(i * t, 2) for i in range(1, min(r, trunc // t) + 1)]
-        for t in range(m, trunc + 1)[:count]
-    ])
+    _apply_factors(out, [_omega_factor(t, r, trunc) for t in range(m, trunc + 1)[:count]])
     return QSeries._make(out, trunc)
+
+
+def _omega_factor(t: int, r: int, trunc: int) -> list:
+    """omega_t's terms (i t, 2), i = 1..r, up to q^trunc, as a sparse factor."""
+    return [(i * t, 2) for i in range(1, min(r, trunc // t) + 1)]
 
 
 def gaussian_binomial(a: int, b: int, k: int, trunc=None) -> QSeries:
@@ -290,10 +290,10 @@ def gaussian_binomial(a: int, b: int, k: int, trunc=None) -> QSeries:
     if not a >= b >= 0:
         return QSeries.zero(trunc)
     b = min(b, a - b)  # the coefficient is symmetric in b and a - b
-    # (q^(k(a-b+1)); q^k)_b / (q^k; q^k)_b, one factor (1 - q^e) at a time
+    # (q^(k(a-b+1)); q^k)_b / (q^k; q^k)_b, one factor (1 - q^e), e <= trunc, at a time
     out = [1] + [0] * trunc
-    _apply_factors(out, [((k * (a - b + i), -1),) for i in range(1, b + 1)])
-    _apply_factors(out, [((k * i, -1),) for i in range(1, b + 1)], divide=True)
+    _apply_factors(out, [((e, -1),) for e in range(k * (a - b + 1), trunc + 1, k)[:b]])
+    _apply_factors(out, [((e, -1),) for e in range(k, trunc + 1, k)[:b]], divide=True)
     return QSeries._make(out, trunc)
 
 

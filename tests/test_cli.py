@@ -152,6 +152,13 @@ def test_verify_bound_far_above_the_truncation():
     ]
 
 
+def test_verify_binomial_with_parameters_far_above_the_truncation():
+    code, text = _run(["verify", "--identity", "I16", "--A", "1000000", "--B", "500000",
+                       "--k", "1", "--trunc", "10", "--format", "tsv"])
+    assert code == 0
+    assert text.splitlines() == ["I16\tA=1000000,B=500000,k=1\t10\tpass\t0"]
+
+
 def test_verify_guard_is_usage_error():
     code, _ = _run(["verify", "--identity", "I2", "--trunc", "50"])
     assert code == 2

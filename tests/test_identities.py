@@ -2,7 +2,8 @@ import hashlib
 import json
 import time
 from collections import Counter
-from itertools import islice
+from functools import cache
+from itertools import islice, takewhile
 
 import pytest
 
@@ -22,7 +23,14 @@ from qpl.identities import (
     verify,
     verify_all,
 )
-from qpl.series import QSeries, ZQPoly, gaussian_binomial, omega_product, q_pochhammer
+from qpl.series import (
+    QSeries,
+    ZQPoly,
+    _apply_z_factors,
+    gaussian_binomial,
+    omega_product,
+    q_pochhammer,
+)
 
 
 def test_catalog_is_complete():
@@ -413,15 +421,93 @@ def test_stepped_maes_terms_match_rebuilt_ones(w_reading):
             assert identities._closed_sigma_maes(r, trunc, w_reading) == want, (r, trunc)
 
 
+# The stratified sums (I5, I6, I8, I9) rebuilt term by term from dense
+# q-Pochhammers, and I10's terms with the omega prefix rebuilt for each size.
+
+
+def _rep_size_head(j, r, trunc):
+    """q^((r+1)j) (-1;q)_j / (q;q)_j: the sizes up to j, with j repeated
+    more than r times (1 at j = 0)."""
+    base = QSeries.monomial((r + 1) * j, 1, trunc) * q_pochhammer(-1, 0, j, trunc)
+    return base / q_pochhammer(1, 1, j, trunc)
+
+
+def _rep_size_term(j, r, trunc):
+    """Overpartitions whose largest repeating size is exactly j."""
+    return _rep_size_head(j, r, trunc) * omega_product(j + 1, None, r, trunc)
+
+
+def _smallest_rep_term(j, r, trunc):
+    """Overpartitions whose smallest positive repeating size is exactly j."""
+    return (
+        QSeries.monomial((r + 1) * j, 2, trunc)
+        * omega_product(1, j - 1, r, trunc)
+        * q_pochhammer(-1, j + 1, None, trunc)
+        / q_pochhammer(1, j, None, trunc)
+    )
+
+
+def _stratified_sum(term, r, trunc, sizes):
+    """The sum of ``term(j, r, trunc)`` over the ascending repeating sizes j
+    in ``sizes`` that fit below the truncation, (r+1) j <= trunc."""
+    fits = takewhile(lambda j: (r + 1) * j <= trunc, sizes)
+    return sum((term(j, r, trunc) for j in fits), QSeries.zero(trunc))
+
+
+def _rebuilt_maes_marked(r, trunc):
+    last = trunc // (r + 1)
+    rows = [[0] * (trunc + 1)]
+    for j in range(1, last + 1):
+        base = QSeries.monomial((r + 1) * j, 2, trunc) * omega_product(1, j - 1, r, trunc)
+        rows[0] = [a + b for a, b in zip(rows[0], base.coeffs)]
+        _apply_z_factors(rows, [[(1, j + 1, 1)]])
+        _apply_z_factors(rows, [[(1, j, -1)]], divide=True)
+    _apply_z_factors(rows, [[(1, e, 1)] for e in range(last + 2, trunc + 1)])
+    _apply_z_factors(rows, [[(1, e, -1)] for e in range(last + 1, trunc + 1)], divide=True)
+    return ZQPoly._make([[0] * (trunc + 1)] * r + rows, trunc)
+
+
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_stepped_stratified_sums_match_rebuilt_ones(r):
+    for trunc in ORACLE_TRUNCS:
+        heads = list(identities._rep_size_heads(r, trunc))
+        assert len(heads) == trunc // (r + 1) + 1, trunc
+        for j, head in enumerate(heads):
+            assert head == _rep_size_head(j, r, trunc).coeffs, (trunc, j)
+        # each term is rebuilt once per truncation and summed for every limit
+        largest, smallest = cache(_rep_size_term), cache(_smallest_rep_term)
+        for limit in range(1, trunc + 3):
+            assert identities._largest_rep_sum(r, trunc, limit) == \
+                _stratified_sum(largest, r, trunc, range(limit)), (trunc, limit)
+            assert identities._smallest_rep_sum(r, trunc, limit) == \
+                _stratified_sum(smallest, r, trunc, range(1, limit + 1)), (trunc, limit)
+
+
+def test_stepped_maes_prefix_matches_rebuilt_one():
+    for r in (1, 2, 3):
+        for trunc in ORACLE_TRUNCS[:-1]:  # the z-rows at 120 cost more than they check
+            assert identities._closed_maes_marked(r, trunc) == \
+                _rebuilt_maes_marked(r, trunc), (r, trunc)
+
+
 def test_partial_sum_closed_sides_build_no_pochhammer_per_bound(monkeypatch):
-    calls = _count_calls(monkeypatch, "q_pochhammer")
-    for identity, params in (("I2", {"r": 1, "form": "subtracted"}),
-                             ("I2", {"r": 1, "form": "corrected"}), ("I3", {"r": 2})):
+    # The partial sums count q-Pochhammers; the stratified sums, which step
+    # omega factors too, count omega products as well.
+    pochhammer = _count_calls(monkeypatch, "q_pochhammer")
+    omega = _count_calls(monkeypatch, "omega_product")
+    cases = [(identity, params, False) for identity, params in (
+        ("I2", {"r": 1, "form": "subtracted"}), ("I2", {"r": 1, "form": "corrected"}),
+        ("I3", {"r": 2}))]
+    cases += [(identity, params, True) for identity, params in (
+        ("I5", {"r": 1}), ("I6", {"r": 1, "n": 8}), ("I7", {"r": 1}), ("I8", {"r": 1}),
+        ("I9", {"r": 1, "m": 8}), ("I10", {"r": 1}))]
+    for identity, params, with_omega in cases:
         counts = []
         for trunc in (10, 40):
-            calls.clear()
+            pochhammer.clear()
+            omega.clear()
             closed_form(identity, params, trunc)
-            counts.append(sum(calls.values()))
+            counts.append(sum(pochhammer.values()) + with_omega * sum(omega.values()))
         assert counts[0] == counts[1], (identity, params, counts)
 
 

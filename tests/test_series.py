@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +253,15 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(5, 0, 2) == QSeries.one(0)
     assert gaussian_binomial(2, 1, 1).coeffs == (1, 1)
     assert gaussian_binomial(4, 2, 1).coeffs == (1, 1, 2, 1, 1)
+
+
+def test_gaussian_binomial_costs_no_more_than_its_truncation():
+    # Both B and A - B exceed the truncation, so below q^11 the binomial
+    # counts partitions, 1 / (q;q)_inf; the factors past q^10 are skipped.
+    start = time.perf_counter()
+    got = gaussian_binomial(10**6, 5 * 10**5, 1, 10)
+    assert time.perf_counter() - start < 0.5
+    assert got == QSeries.one(10) / q_pochhammer(1, 1, None, 10)
 
 
 def test_gaussian_binomial_recurrence():

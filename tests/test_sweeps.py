@@ -20,7 +20,6 @@ import pytest
 from qpl import identities
 from qpl.core import (
     Convention,
-    Overpartition,
     count_parts_above,
     largest_repeating_size,
     max_excludant_size,
@@ -47,6 +46,7 @@ from qpl.identities import (
     catalog_instances,
     closed_form,
     theorem_count_check,
+    verify_all,
 )
 from qpl.separable import basis_gf, is_member
 from qpl.series import QSeries, ZQPoly
@@ -167,7 +167,6 @@ def element_key(lam):
         lam.num_parts,
         lam.parts()[0],
         lam.has_overlined(1),
-        lam.has_overlined(lam.largest_size),
     )
 
 
@@ -178,7 +177,6 @@ def node_key(node):
         node.length,
         (node.top_size, node.top_overlined),
         node.smallest_overlined,
-        node.largest_overlined,
     )
 
 
@@ -228,16 +226,16 @@ def test_basis_nodes_match_basis_elements(family, k):
     )
 
 
-def test_largest_size_overline_is_a_block_property():
-    # BL writes the overline last in its block: "2,2~,1" is built bottom-first
-    # as 1, 2~, 2, so its first written part is plain while size 2 carries
-    # the overline.  Under BF the overline is written first, and the two agree.
-    lam = Overpartition.parse("2,2~,1", "last")
-    assert element_key(lam)[3:] == ((2, False), False, True)
-    assert element_key(lam) in {node_key(n) for n in basis_nodes("BL", 1, 5)}
-    lam = Overpartition.parse("2~,2,1~", "first")
-    assert element_key(lam)[3:] == ((2, True), True, True)
-    assert element_key(lam) in {node_key(n) for n in basis_nodes("BF", 1, 5)}
+def test_bf_largest_size_is_overlined_exactly_when_the_top_part_is():
+    # Under BF an overlined part is followed by a size bump and the overline
+    # is written first in its block, so the top part's flag, which the I19
+    # sides read, is the largest size's.  (Under BL it is not: "2,2~,1" has a
+    # plain first part and an overlined size 2.)
+    for k in (1, 2, 3, 4):
+        elements = [lam for m in range(1, 31) for lam in basis_elements("BF", k, m, 30)]
+        assert elements
+        for lam in elements:
+            assert lam.has_overlined(lam.largest_size) == lam.parts()[0][1], (k, lam.text())
 
 
 @pytest.mark.parametrize("family", ("BL", "BF"))
@@ -281,6 +279,32 @@ def test_basis_histogram_keeps_its_truncation_and_cap(cold_sweeps, monkeypatch):
     basis_gf("BF", 1, 3, 1, True, 30)  # and so do as many
     assert _SWEEPS["basis", "BF", 1, 30][0] == 3
     assert walks == [("BF", 1, 30, 3), ("BF", 1, 12, 9)]
+
+
+@pytest.mark.parametrize("family", ("BL", "BF"))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_brute_basis_sides_match_basis_elements_filter(family, k, cold_sweeps):
+    # The I18/I19 brute sides read the end histogram; the oracle filters the
+    # elements on their part count and their smallest (BL) or largest (BF)
+    # size's overline, read off each element.
+    for trunc in (0, 7, 20):
+        elements = [lam for m in range(1, trunc + 1) for lam in basis_elements(family, k, m, trunc)]
+        for s in range(1, k + 1):
+            for overlined in (False, True):
+                want = Counter(
+                    (lam.weight, lam.overlined_count) for lam in elements
+                    if (lam.num_parts - s) % k == 0
+                    and lam.has_overlined(1 if family == "BL" else lam.largest_size) == overlined)
+                assert _brute_basis_marked(family, k, s, overlined, trunc) == \
+                    ZQPoly.from_counts(want, trunc), (trunc, s, overlined)
+
+
+def test_distinct_identities_walk_once_per_basis_key(cold_sweeps, monkeypatch):
+    # I18 reads BL and I19 BF, each for k = 1, 2, 3: one full walk per key,
+    # however many instances and sides read it.
+    walks = _record_basis_walks(monkeypatch)
+    assert all(report.passed for report in verify_all(40, ["I18", "I19"]))
+    assert sorted(walks) == [(family, k, 40, 40) for family in ("BF", "BL") for k in (1, 2, 3)]
 
 
 def test_basis_gf_refuses_bool_and_float_truncations_beside_cached_ones(cold_sweeps):
@@ -330,6 +354,7 @@ ENUMERATORS = (
     "basis_elements",
     "distinct_congruent_partitions",
     "basis_gf",
+    "_basis_histograms",
     "_excludant_sweep",
     *(name for name in vars(identities) if name.startswith("_brute_")),
 )
@@ -386,9 +411,10 @@ def _sweeps(trunc):
         for s in range(1, k + 1):
             out[("distinct", k, s)] = _brute_distinct_marked(k, s, trunc)
         for family in ("BL", "BF"):
-            out[("basis", family, k)] = _brute_basis_marked(
-                family, k, trunc, lambda node: node.length % k == 0)
             for overlined in (False, True):
+                for s in range(1, k + 1):
+                    out[("basis", family, k, s, overlined)] = _brute_basis_marked(
+                        family, k, s, overlined, trunc)
                 out[("basis_gf", family, k, overlined)] = basis_gf(
                     family, k, 2 * k, 2, overlined, trunc)
     return out
