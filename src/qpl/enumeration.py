@@ -344,13 +344,17 @@ class BasisNode(NamedTuple):
 
 # The sweep cache: (kind, *params) -> (bound, data), for the counting sweeps
 # that many identity instances read, filled only through _swept.
-# ("excludant", r) holds the excludant histograms up to truncation ``bound``;
-# ("basis", family, k, trunc) holds one basis_nodes walk at weight <= trunc
-# (any weight for None) and length <= ``bound``, counted as {(weight,
-# overlines): count} by (length, top size, top overline) for basis_gf and by
-# (length mod k, end overline) for the I18/I19 sides.  A larger
-# bound walks again; a basis entry never widens past the largest length
-# asked at its truncation.  clear() empties every kind.
+# ("profiles",) holds one walk of the plain profiles of weight <= ``bound``:
+# the excludant statistics counted per interval of the chain length r on
+# which each is constant, and the profiles counted by multiplicities, for
+# the class sides; ("excludant", r) holds its read at one r, up to
+# truncation ``bound``.  ("basis", family, k, trunc) holds one basis_nodes
+# walk at weight <= trunc (any weight for None) and length <= ``bound``,
+# counted as {(weight, overlines): count} by (length, top size, top
+# overline) for basis_gf and, when the length bound caps nothing, by
+# (length mod k, end overline) for the I18/I19 sides.  A larger bound walks
+# again; a basis entry never widens past the largest length asked at its
+# truncation.  clear() empties every kind.
 _SWEEPS: dict = {}
 
 

@@ -36,7 +36,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import count, islice, zip_longest
-from math import comb
+from math import comb, inf
 
 from .core import (
     count_parts_above,
@@ -175,23 +175,98 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
 # The sweeps count instead of building one object per overpartition.  Every
 # statistic the excludant sweep and theorem_count_check read (mes, maes, the
 # repeating sizes, count_parts_above) depends only on the plain profile, so
-# they walk enumeration.weighted_profiles and add each profile's 2^d
-# overpartitions at once.  Class membership tests each size on its own, so a
-# profile with a sizes that may carry an overline adds C(a, z) members with
-# z overlines.  The basis sides read walks of enumeration.basis_nodes.
-# Each sweep still visits every profile or basis element and borrows nothing
-# from the closed form it is compared with.
+# each profile adds its 2^d overpartitions at once.  Class membership tests
+# each size on its own, so a profile with a sizes that may carry an overline
+# adds C(a, z) members with z overlines.  The basis sides read walks of
+# enumeration.basis_nodes.  Each sweep still visits every profile or basis
+# element and borrows nothing from the closed form it is compared with.
 #
-# The excludant histograms and the basis histograms live in one cache,
+# One walk over the profiles (_profile_histograms) serves every chain
+# length r and every class tag.  Each excludant statistic is a step
+# function of r, so the walk counts each profile once per interval of r on
+# which the statistic is constant, and _excludant_sweep(r, trunc) adds up
+# the intervals that contain r, for any r, without walking again.  The
+# same walk counts the profiles by their multiplicities, which fix the
+# overlinable sizes of every (family, k).
+#
+# The profile, excludant and basis histograms live in one cache,
 # enumeration._SWEEPS, read and filled through enumeration._swept, which
 # walks again only for a larger bound (the truncation here, the part count
 # there).  basis_gf (I13, I14) and the I18/I19 sides read one basis walk per
 # (family, k, truncation); I18 and I19 ask it for trunc parts, which caps
-# nothing.  The excludant histograms are keyed by weight-first tuples, so a
-# smaller truncation reads them with a filter; the per-weight counts and
-# excludant totals are the q_projection and z_moment of the mes histogram
-# (the maes histogram for the maximal excludant, whose zero values add
-# nothing to the total).
+# nothing.  Every histogram keeps the weight in its keys, so a smaller
+# truncation reads it with a filter; the per-weight counts and excludant
+# totals are the q_projection and z_moment of the mes histogram (the maes
+# histogram for the maximal excludant, whose zero values add nothing to the
+# total).
+
+
+def _profile_histograms(trunc: int) -> dict:
+    """Every plain profile of weight <= trunc, walked once.
+
+    "mes", "maes" and "rep" count overpartitions, 2^d per profile, by
+    ``(lo, hi, weight, value)``: the statistic is ``value`` for every chain
+    length lo <= r <= hi (hi is inf for the last interval).  The value is
+    mes_r, maes_r when positive, or the largest and the smallest repeating
+    size, 0 for none.  "mults" counts the profiles by their multiplicities
+    from the bottom size up, then by weight.
+
+    Each statistic is read off the first run of at least r of something in
+    a scan, so only a run longer than every run before it, a record, starts
+    a new interval: mes_r scans the absent sizes from 1 up, the run above
+    the top unbounded; maes_r the absent sizes from the top down, the last
+    run reaching size 0, read as one below the size above the run; the
+    repeating sizes the multiplicities - 1, from the top and from the
+    bottom.  Both of those end past the largest multiplicity - 1, so they
+    share one list of joint intervals.
+    """
+    mes, maes, rep = Counter(), Counter(), Counter()
+    mults = defaultdict(Counter)
+    for n in range(trunc + 1):
+        for profile in _profiles(n, n):
+            count = 1 << len(profile)
+            # from the top: maes and the largest repeating size's records
+            lo = rep_lo = 1  # the least r no record covers yet
+            above = 0
+            big = []  # (last r, size)
+            for size, mult in profile:
+                gap = above - size - 1
+                if gap >= lo:
+                    maes[lo, gap, n, above - 1] += count
+                    lo = gap + 1
+                if mult > rep_lo:
+                    big.append((mult - 1, size))
+                    rep_lo = mult
+                above = size
+            if above - 1 >= lo:
+                maes[lo, above - 1, n, above - 1] += count
+            # from the bottom: mes and the smallest repeating size's records
+            lo = t = rep_lo = 1
+            small = []
+            for size, mult in reversed(profile):
+                if size - t >= lo:
+                    mes[lo, size - t, n, t] += count
+                    lo = size - t + 1
+                t = size + 1
+                if mult > rep_lo:
+                    small.append((mult - 1, size))
+                    rep_lo = mult
+            mes[lo, inf, n, t] += count
+            lo = i = j = 0  # lo: the last r covered
+            while i < len(big):  # the joint intervals, to the last record
+                (big_hi, big_size), (small_hi, small_size) = big[i], small[j]
+                hi = min(big_hi, small_hi)
+                rep[lo + 1, hi, n, big_size, small_size] += count
+                lo = hi
+                i += big_hi == hi
+                j += small_hi == hi
+            rep[lo + 1, inf, n, 0, 0] += count
+            mults[tuple([mult for _, mult in reversed(profile)])][n] += 1
+    return {"mes": mes, "maes": maes, "rep": rep, "mults": mults}
+
+
+def _profile_sweep(trunc: int) -> dict:
+    return _swept(("profiles",), trunc, lambda: _profile_histograms(trunc))
 
 
 def _excludant_sweep(r: int, trunc: int) -> dict:
@@ -199,19 +274,15 @@ def _excludant_sweep(r: int, trunc: int) -> dict:
 
 
 def _excludant_histograms(r: int, trunc: int) -> dict:
-    mes_hist = defaultdict(int)
-    maes_hist = defaultdict(int)
-    rep_hist = defaultdict(int)
-    for n in range(trunc + 1):
-        for pi, count in weighted_profiles(n):
-            mes_hist[(n, min_excludant_size(pi, r))] += count
-            maes = max_excludant_size(pi, r)
-            if maes > 0:
-                maes_hist[(n, maes)] += count
-            big = largest_repeating_size(pi, r)
-            small = smallest_positive_repeating_size(pi, r) or 0
-            rep_hist[(n, big, small)] += count
-    return {"mes_hist": mes_hist, "maes_hist": maes_hist, "rep_hist": rep_hist}
+    """The profile histograms of the intervals that contain r."""
+    steps = _profile_sweep(trunc)
+    out = {}
+    for name in ("mes", "maes", "rep"):
+        hist = out[f"{name}_hist"] = defaultdict(int)
+        for key, count in steps[name].items():
+            if key[0] <= r <= key[1]:
+                hist[key[2:]] += count
+    return out
 
 
 def _brute_rep_filtered(r: int, trunc: int, keep) -> QSeries:
@@ -225,12 +296,15 @@ def _brute_rep_filtered(r: int, trunc: int, keep) -> QSeries:
 
 def _brute_class_marked(family: str, k: int, trunc: int) -> ZQPoly:
     tag = ClassTag(family, k)
+    by_a = Counter()
+    for mults, weights in _profile_sweep(trunc)["mults"].items():
+        a = _overlinable_sizes(mults, tag)
+        for n, count in weights.items():
+            by_a[n, a] += count
     hist = Counter()
-    for n in range(trunc + 1):
-        profiles_by_a = Counter(_overlinable_sizes(p, tag) for p in _profiles(n, n))
-        for a, count in profiles_by_a.items():
-            for z in range(a + 1):
-                hist[(n, z)] += count * comb(a, z)
+    for (n, a), count in by_a.items():
+        for z in range(a + 1):
+            hist[(n, z)] += count * comb(a, z)
     return ZQPoly.from_counts(hist, trunc)
 
 
@@ -310,9 +384,9 @@ def _closed_sigma_mes(r: int, trunc: int, form: str) -> QSeries:
     # corrected partial at limit n over omega_n is the product over sizes > n.
     total = overpartition_series(trunc)
     for n, partial in zip(range(1, trunc + 1), _partial_rep(form, r, trunc)):
-        total = total + (
-            _excludant_numerator(n, r, trunc) * partial / omega_product(n, 1, r, trunc)
-        )
+        term = list((_excludant_numerator(n, r, trunc) * partial).coeffs)
+        _apply_factors(term, [_omega_factor(n, r, trunc)], divide=True)
+        total = total + QSeries._make(term, trunc)
     return total
 
 
@@ -327,17 +401,19 @@ def _closed_sigma_maes(r: int, trunc: int, w_reading: str) -> QSeries:
     total = total + big * QSeries(lamb, trunc)
     # Term n: q^n omega_1 ... omega_(n-1) (-q^(n+1);q)_inf / (q^n;q)_inf (1 + w),
     # the stepped product at limit n over (1 + q^n), times q^n (1 + w).
-    omegas = QSeries.one(trunc)
+    omegas = [1] + [0] * trunc  # omega_1 ... omega_n, stepped in place
     for n, product in zip(range(1, trunc + 1), _stepped_product(r, trunc, False)):
-        w_n = omega_product(n, 1, r, trunc)
+        term = [0] * n + list(product.coeffs[: trunc + 1 - n])
+        _apply_factors(term, [((n, 1),)], divide=True)
         if w_reading == "omega_n":
-            w_term = w_n
+            w_term = list(term)
+            _apply_factors(w_term, [_omega_factor(n, r, trunc)])
         elif w_reading == "omega_1_n":
-            w_term = omegas = omegas * w_n
+            _apply_factors(omegas, [_omega_factor(n, r, trunc)])
+            w_term = (QSeries._make(term, trunc) * QSeries._make(omegas, trunc)).coeffs
         else:
             raise ValueError(f"unknown w reading {w_reading!r}")
-        q_n = QSeries.monomial(n, 1, trunc)
-        total = total - q_n * product / (q_n + 1) * (w_term + 1)
+        total = total - QSeries._make([a + b for a, b in zip(term, w_term)], trunc)
     return total
 
 

@@ -47,9 +47,9 @@ def is_member(pi: Overpartition, tag: ClassTag) -> bool:
     return True
 
 
-def _overlinable_sizes(profile, tag: ClassTag) -> int:
-    """Number of sizes of a plain profile ``((size, multiplicity), ...)``,
-    sizes descending, that may carry an overline in the tagged L_k or F_k
+def _overlinable_sizes(mults, tag: ClassTag) -> int:
+    """Number of sizes of a plain profile, given by its multiplicities from
+    the bottom size up, that may carry an overline in the tagged L_k or F_k
     class.
 
     The counting rule of :func:`is_member` tests each size on its own, so
@@ -59,7 +59,7 @@ def _overlinable_sizes(profile, tag: ClassTag) -> int:
     k = tag.k
     first = tag.family == "F"
     below = allowed = 0
-    for _, mult in reversed(profile):
+    for mult in mults:
         if (below + mult if first else below) % k == 0:
             allowed += 1
         below += mult
@@ -246,14 +246,19 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
 
 def _basis_histograms(family: str, k: int, trunc, parts: int) -> tuple:
     """The histograms of the one :func:`basis_nodes` walk per (family, k,
-    trunc), laid out as enumeration._SWEEPS says, up to ``parts`` parts."""
+    trunc), laid out as enumeration._SWEEPS says, up to ``parts`` parts.
+    The end histogram is filled only by a walk that ``parts`` does not cap,
+    at least trunc parts, the one the I18/I19 sides ask for; a capped walk
+    leaves it empty."""
     def walk():
         by_top, by_end = defaultdict(Counter), defaultdict(Counter)
         nodes = basis_nodes(family, k, trunc, parts)
+        uncapped = trunc is not None and parts >= trunc
         for weight, overlines, length, top, top_over, low_over in nodes:
             by_top[length, top, top_over][weight, overlines] += 1
-            end = low_over if family == "BL" else top_over
-            by_end[length % k, end][weight, overlines] += 1
+            if uncapped:
+                end = low_over if family == "BL" else top_over
+                by_end[length % k, end][weight, overlines] += 1
         return by_top, by_end
 
     return _swept(("basis", family, k, trunc), parts, walk)

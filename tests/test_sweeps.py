@@ -183,8 +183,9 @@ def node_key(node):
 # -- sweeps against oracles --------------------------------------------------
 
 
-@pytest.mark.parametrize("r", (1, 2, 3))
+@pytest.mark.parametrize("r", range(1, N + 3))
 def test_excludant_sweep_matches_object_walk(r, cold_sweeps):
+    # Past r = N every statistic sits in its last interval, the unbounded one.
     got = _excludant_sweep(r, N)
     want = object_excludant_sweep(r, N)
     assert set(got) == {"mes_hist", "maes_hist", "rep_hist"}
@@ -202,6 +203,27 @@ def test_excludant_sweep_matches_object_walk(r, cold_sweeps):
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_class_sweep_matches_object_walk(family, k):
     assert _brute_class_marked(family, k, N) == object_class_marked(family, k, N)
+
+
+def test_one_profile_walk_serves_every_chain_length_and_class_tag(cold_sweeps, monkeypatch):
+    walks = []
+    real = identities._profile_histograms
+
+    def recorded(trunc):
+        walks.append(trunc)
+        return real(trunc)
+
+    monkeypatch.setattr(identities, "_profile_histograms", recorded)
+    assert len(verify_all(25)) == len(catalog_instances(25))
+    assert walks == [25]
+    # Chain lengths no catalog instance asks for, at a smaller truncation,
+    # read the same walk; its weights above N are filtered out here.
+    for r in (4, 7, 30):
+        got = _excludant_sweep(r, N)
+        want = object_excludant_sweep(r, N)
+        for key, hist in got.items():
+            assert {k: v for k, v in hist.items() if k[0] <= N} == want[key], (r, key)
+    assert walks == [25]
 
 
 @pytest.mark.parametrize("which", ("Thm2_1", "Thm2_2"))
@@ -286,8 +308,11 @@ def test_basis_histogram_keeps_its_truncation_and_cap(cold_sweeps, monkeypatch):
 def test_brute_basis_sides_match_basis_elements_filter(family, k, cold_sweeps):
     # The I18/I19 brute sides read the end histogram; the oracle filters the
     # elements on their part count and their smallest (BL) or largest (BF)
-    # size's overline, read off each element.
+    # size's overline, read off each element.  A basis_gf walk capped at 2
+    # parts comes first at each truncation; it leaves the end histogram
+    # empty, so the sides walk again.
     for trunc in (0, 7, 20):
+        basis_gf(family, k, 2, 1, False, trunc)
         elements = [lam for m in range(1, trunc + 1) for lam in basis_elements(family, k, m, trunc)]
         for s in range(1, k + 1):
             for overlined in (False, True):
@@ -356,6 +381,8 @@ ENUMERATORS = (
     "basis_gf",
     "_basis_histograms",
     "_excludant_sweep",
+    "_profile_sweep",
+    "_profile_histograms",
     *(name for name in vars(identities) if name.startswith("_brute_")),
 )
 
