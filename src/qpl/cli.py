@@ -70,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--class", dest="family", choices=("all", "L", "F"), default="all")
     p.add_argument("--k", type=_int_arg, default=None)
-    p.add_argument("--convention", choices=("last", "first"), default="last")
+    p.add_argument("--convention", choices=("last", "first"), default=None,
+                   help="class all only (default last); L streams last, F first")
 
     p = sub.add_parser("stat", help="statistics of one overpartition")
     p.add_argument("--parts", required=True, help="canonical overpartition text")
@@ -129,6 +130,8 @@ def _dump_sides(ident, params, trunc, out):
 
 
 def _cmd_verify(args, out) -> int:
+    if args.dump and args.format != "text":
+        raise UsageError("--dump needs --format text")
     trunc = args.trunc if args.trunc is not None else _default_trunc()
     instances = _verify_instances(args, trunc)
     reports = [verify(ident, params, n) for ident, params, n in instances]
@@ -163,10 +166,14 @@ def _cmd_enum(args, out) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     if args.family == "all":
-        stream = overpartitions_of(args.n, Convention(args.convention))
+        if args.k is not None:
+            raise UsageError("--k needs class L or F")
+        stream = overpartitions_of(args.n, Convention(args.convention or "last"))
     else:
         if args.k is None:
             raise UsageError("--k is required for class L or F")
+        if args.convention is not None:
+            raise UsageError("--convention needs class all: L streams last, F first")
         stream = enumerate_class(args.n, ClassTag(args.family, args.k))
     for pi in stream:
         print(pi.text(), file=out)

@@ -505,34 +505,34 @@ def _basis_exponent(k: int, m: int, s: int, j: int) -> int:
 
 
 def _closed_class_gf(family: str, k: int, trunc: int) -> ZQPoly:
-    # 1 + sum over the part count L = k(m-1) + s of B_L / (q;q)_L, where B_L
-    # sums the basis polynomials with L parts (I13, I14) over their largest
-    # part j.  Summed Horner-style from the largest L down: add B_L, then
-    # divide every z-row by (1 - q^L).
-    total = ZQPoly.zero(trunc)
+    # 1 + sum over the part count L = k(m-1) + s of B_L / (q;q)_L, B_L the sum
+    # over the largest part j of the basis polynomials q^e [m-1 choose j-1]
+    # (I13, I14), Horner-style from the largest L down on z-rows: add B_L, then
+    # divide every row by (1 - q^L).  Term (m, j) adds to z^(j-1), and to z^j
+    # too under L or at s = k (F's overlined largest part: k*m parts).
+    rows, rungs = [], {}
     for parts in range(trunc, 0, -1):
         m, s = (parts - 1) // k + 1, (parts - 1) % k + 1
         for j in range(1, m + 1):
-            if _basis_exponent(k, m, s, j) > trunc:
+            e = _basis_exponent(k, m, s, j)
+            if e > trunc:
                 break
-            total = total + _closed_basis_poly(k, m, s, j, trunc, family, False)
-            if family == "F" and s == k:  # k*m parts: the overlined largest part
-                total = total + _closed_basis_poly(k, m, s, j, trunc, family, True)
-        rows = [list(row) for row in total.rows]
+            if j not in rungs:  # at j's largest m: copy rungs a = j-1 .. m-1
+                rungs[j] = [list(r) for r in islice(_binomial_ladder(j - 1, k, trunc), m - j + 1)]
+            z_rows = range(j - 1, j + 1 if family == "L" or s == k else j)
+            rows.extend([0] * (trunc + 1) for _ in range(z_rows.stop - len(rows)))
+            for z in z_rows:  # [m-1 choose j-1] is rung m - j
+                rows[z][e:] = [x + y for x, y in zip(rows[z][e:], rungs[j][m - j])]
         for row in rows:
             _apply_factors(row, [((parts, -1),)], divide=True)
-        total = ZQPoly._make(rows, trunc)
-    return total + 1
+    return ZQPoly._make(rows, trunc) + 1
 
 
-def _closed_basis_poly(k: int, m: int, s: int, j: int, trunc: int, family: str, overlined: bool) -> ZQPoly:
-    if family == "F" and overlined:
-        s = k  # the overlined F polynomial has k*m parts
+def _closed_basis_poly(k: int, m: int, s: int, j: int, trunc: int, family: str) -> ZQPoly:
     base = QSeries.monomial(_basis_exponent(k, m, s, j), 1, trunc)
     base = base * gaussian_binomial(m - 1, j - 1, k, trunc)
-    if family == "L":
-        return ZQPoly.from_qseries(base, j - 1) + ZQPoly.from_qseries(base, j)
-    return ZQPoly.from_qseries(base, j if overlined else j - 1)
+    poly = ZQPoly.from_qseries(base, j - 1)
+    return poly + poly.z_shift(1) if family == "L" else poly
 
 
 def _shifted_binomial_sum(k: int, j: int, trunc: int) -> QSeries:
@@ -709,7 +709,7 @@ def _build_i13(p, n):
     k, m, s, j = p["k"], p["m"], p["s"], p["j"]
     parts = k * (m - 1) + s
     return [[
-        Side("closed form", "closed", lambda: _closed_basis_poly(k, m, s, j, n, "L", False)),
+        Side("closed form", "closed", lambda: _closed_basis_poly(k, m, s, j, n, "L")),
         Side("basis enumeration", "brute",
              lambda: basis_gf("BL", k, parts, j, False, n) + basis_gf("BL", k, parts, j, True, n)),
     ]]
@@ -721,12 +721,12 @@ def _build_i14(p, n):
     return [
         [
             Side("closed form, plain largest part", "closed",
-                 lambda: _closed_basis_poly(k, m, s, j, n, "F", False)),
+                 lambda: _closed_basis_poly(k, m, s, j, n, "F")),
             Side("basis enumeration", "brute", lambda: basis_gf("BF", k, parts, j, False, n)),
         ],
         [
             Side("closed form, overlined largest part", "closed",
-                 lambda: _closed_basis_poly(k, m, s, j, n, "F", True)),
+                 lambda: _closed_basis_poly(k, m, k, j, n, "F").z_shift(1)),
             Side("basis enumeration", "brute", lambda: basis_gf("BF", k, k * m, j, True, n)),
         ],
     ]

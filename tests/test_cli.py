@@ -36,6 +36,17 @@ def test_enum_classes():
     assert code == 2  # missing --k
 
 
+def test_enum_flags_the_stream_would_ignore_are_usage_errors():
+    # --k picks a class and --convention the text of class all only; F
+    # streams FIRST text, so "--convention last" there would be ignored.
+    assert _run(["enum", "--n", "3", "--k", "2"]) == (2, "")
+    assert _run(["enum", "--n", "3", "--class", "F", "--k", "2", "--convention", "last"]) == (2, "")
+    assert _run(["enum", "--n", "3", "--class", "L", "--k", "2", "--convention", "last"]) == (2, "")
+    assert _run(["enum", "--n", "3", "--convention", "last"]) == _run(["enum", "--n", "3"])
+    code, text = _run(["enum", "--n", "3", "--convention", "first"])
+    assert code == 0 and text != _run(["enum", "--n", "3"])[1]
+
+
 def test_enum_zero():
     code, text = _run(["enum", "--n", "0"])
     assert code == 0 and text == "\n"
@@ -181,6 +192,8 @@ def test_verify_dump():
     assert code == 0
     assert "# I16 equation 1: binomial" in text
     assert "0\t1\n1\t1" in text
+    for fmt in ("json", "tsv"):  # the dump is text only
+        assert _run(["verify", "--identity", "I1", "--dump", "--format", fmt]) == (2, "")
 
 
 def test_trunc_env_override(monkeypatch):

@@ -26,6 +26,7 @@ from qpl.identities import (
 from qpl.series import (
     QSeries,
     ZQPoly,
+    _apply_factors,
     _apply_z_factors,
     gaussian_binomial,
     omega_product,
@@ -488,6 +489,52 @@ def test_stepped_maes_prefix_matches_rebuilt_one():
         for trunc in ORACLE_TRUNCS[:-1]:  # the z-rows at 120 cost more than they check
             assert identities._closed_maes_marked(r, trunc) == \
                 _rebuilt_maes_marked(r, trunc), (r, trunc)
+
+
+def _rebuilt_class_gf(family, k, trunc):
+    """I11/I12's closed side with every basis polynomial built afresh: one
+    gaussian_binomial and one ZQPoly sum per term, the overlined F term of
+    k*m parts added on its own."""
+    total = ZQPoly.zero(trunc)
+    for parts in range(trunc, 0, -1):
+        m, s = (parts - 1) // k + 1, (parts - 1) % k + 1
+        for j in range(1, m + 1):
+            e = k * (j * (j - 1) // 2) + s * j + k * (m - j)
+            if e > trunc:
+                break
+            base = QSeries.monomial(e, 1, trunc) * gaussian_binomial(m - 1, j - 1, k, trunc)
+            total = total + ZQPoly.from_qseries(base, j - 1)
+            if family == "L" or s == k:  # L's overlined largest part, or F's
+                total = total + ZQPoly.from_qseries(base, j)
+        rows = [list(row) for row in total.rows]
+        for row in rows:
+            _apply_factors(row, [((parts, -1),)], divide=True)
+        total = ZQPoly._make(rows, trunc)
+    return total + 1
+
+
+@pytest.mark.parametrize("family", ("L", "F"))
+def test_laddered_class_sums_match_rebuilt_ones(family):
+    for k in range(1, 7):
+        for trunc in ORACLE_TRUNCS[:-1]:  # one binomial per term at 120 costs more than it checks
+            assert identities._closed_class_gf(family, k, trunc) == \
+                _rebuilt_class_gf(family, k, trunc), (k, trunc)
+
+
+def test_class_closed_sides_build_no_binomial_per_term(monkeypatch):
+    # [m-1 choose j-1] is a rung of j's ladder, so no Gaussian binomial is
+    # built and each largest part j steps one ladder.
+    binomial = _count_calls(monkeypatch, "gaussian_binomial")
+    basis_poly = _count_calls(monkeypatch, "_closed_basis_poly")
+    ladder = _count_calls(monkeypatch, "_binomial_ladder")
+    for identity in ("I11", "I12"):
+        for k in (1, 2, 3, 4):
+            for trunc in (10, 40):
+                ladder.clear()
+                closed_form(identity, {"k": k}, trunc)
+                assert not binomial and not basis_poly, (identity, k, trunc)
+                assert ladder and set(ladder.values()) == {1}, (identity, k, trunc)
+                assert sorted(b for b, _, _ in ladder) == list(range(len(ladder)))
 
 
 def test_partial_sum_closed_sides_build_no_pochhammer_per_bound(monkeypatch):

@@ -475,3 +475,29 @@ def test_sparse_quotient_undoes_sparse_product(coeffs, factors):
     _apply_factors(out, factors)
     _apply_factors(out, factors, divide=True)
     assert out == coeffs
+
+
+@st.composite
+def zq_polys(draw):
+    """A z-marked polynomial of up to 5 z-rows at a truncation up to 8; any
+    row, the lowest ones too, may be zero."""
+    n = draw(st.integers(0, 8))
+    row = st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1)
+    return ZQPoly(draw(st.lists(row, max_size=5)), n)
+
+
+@PROPERTY
+@given(zq_polys(), st.integers(0, 6))
+def test_z_shift_moves_every_row_and_undoes_itself(p, d):
+    shifted = p.z_shift(d)
+    for z in range(-d - 1, len(p.rows) + 1):
+        for q in range(p.trunc + 1):
+            assert shifted.coeff(z + d, q) == p.coeff(z, q), (z, q)
+    assert shifted.z_shift(-d) == p
+    low = next((z for z, row in enumerate(p.rows) if any(row)), None)
+    if low is None:  # the zero polynomial shifts down freely
+        assert p.z_shift(-d) == p
+        return
+    assert p.z_shift(-low).z_shift(low) == p
+    with pytest.raises(ValueError):
+        p.z_shift(-low - 1 - d)
