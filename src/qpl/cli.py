@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parts", required=True, help="canonical overpartition text")
     p.add_argument("--stat", required=True,
                    choices=("mes", "maes", "conjugate", "lrs", "sprs"))
-    p.add_argument("--r", type=_int_arg, default=1)
+    p.add_argument("--r", type=_int_arg, default=None, help="chain length (default 1)")
     p.add_argument("--convention", choices=("last", "first"), default="last")
 
     p = sub.add_parser("basis", help="list basis elements")
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="statistic table over all overpartitions of n")
     p.add_argument("--stat", required=True,
                    choices=("mes", "maes", "conjugate", "lrs", "sprs"))
-    p.add_argument("--r", type=_int_arg, default=1)
+    p.add_argument("--r", type=_int_arg, default=None, help="chain length (default 1)")
     p.add_argument("--n", type=_int_arg, required=True)
     return parser
 
@@ -187,7 +187,12 @@ def _parse_overpartition(text: str, convention: str) -> Overpartition:
         raise UsageError(f"bad overpartition text: {exc}")
 
 
-def _stat_value(pi: Overpartition, stat: str, r: int) -> str:
+def _stat_value(pi: Overpartition, stat: str, r) -> str:
+    if stat == "conjugate":
+        if r is not None:
+            raise UsageError("--r does not apply to --stat conjugate")
+        return conjugate(pi).text()
+    r = 1 if r is None else r
     if r < 1:
         raise UsageError("--r must be >= 1")
     if stat == "mes":
@@ -196,10 +201,8 @@ def _stat_value(pi: Overpartition, stat: str, r: int) -> str:
         return str(max_excludant_size(pi, r))
     if stat == "lrs":
         return str(largest_repeating_size(pi, r))
-    if stat == "sprs":
-        value = smallest_positive_repeating_size(pi, r)
-        return "none" if value is None else str(value)
-    return conjugate(pi).text()
+    value = smallest_positive_repeating_size(pi, r)
+    return "none" if value is None else str(value)
 
 
 def _cmd_stat(args, out) -> int:

@@ -28,7 +28,7 @@ API and as the reference the tests compare the sweeps with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .core import Convention, Overpartition, Partition
@@ -56,19 +56,22 @@ class ClassTag:
         return Convention.FIRST if self.family == "F" else Convention.LAST
 
 
-@lru_cache(maxsize=None)
-def _profiles(n: int, max_size: int):
+def _profiles(n: int, max_size: int, memo: dict):
     """Plain partitions of n with parts <= max_size, as ((size, mult), ...)
-    tuples with sizes descending."""
+    tuples with sizes descending.  ``memo`` holds the tuples built so far;
+    the walk that owns it drops it when it ends."""
     if n == 0:
         return ((),)
-    out = []
-    for size in range(min(n, max_size), 0, -1):
-        for mult in range(1, n // size + 1):
-            head = ((size, mult),)
-            for rest in _profiles(n - size * mult, size - 1):
-                out.append(head + rest)
-    return tuple(out)
+    profiles = memo.get((n, max_size))
+    if profiles is None:
+        out = []
+        for size in range(min(n, max_size), 0, -1):
+            for mult in range(1, n // size + 1):
+                head = ((size, mult),)
+                for rest in _profiles(n - size * mult, size - 1, memo):
+                    out.append(head + rest)
+        profiles = memo[n, max_size] = tuple(out)
+    return profiles
 
 
 def _token_tables(n: int, convention: Convention):
@@ -247,7 +250,7 @@ def weighted_profiles(n: int):
     if n < 0:
         raise ValueError("n must be >= 0")
     make = Overpartition._make
-    for profile in _profiles(n, n):
+    for profile in _profiles(n, n, {}):
         plain = tuple((size, mult, False) for size, mult in profile)
         yield make(plain, Convention.LAST), 1 << len(profile)
 
@@ -342,28 +345,23 @@ class BasisNode(NamedTuple):
     smallest_overlined: bool  # size 1 carries an overline
 
 
-# The sweep cache: (kind, *params) -> (bound, data), for the counting sweeps
-# that many identity instances read, filled only through _swept.
-# ("profiles",) holds one walk of the plain profiles of weight <= ``bound``:
-# the excludant statistics counted per interval of the chain length r on
-# which each is constant, and the profiles counted by multiplicities, for
-# the class sides; ("excludant", r) holds its read at one r, up to
-# truncation ``bound``.  ("basis", family, k, trunc) holds one basis_nodes
-# walk at weight <= trunc (any weight for None) and length <= ``bound``,
-# counted as {(weight, overlines): count} by (length, top size, top
-# overline) for basis_gf and, when the length bound caps nothing, by
-# (length mod k, end overline) for the I18/I19 sides.  A larger bound walks
-# again; a basis entry never widens past the largest length asked at its
-# truncation.  clear() empties every kind.
+# The sweep cache: key -> (bounds, data).  A key names what is counted:
+# ("profiles",) the one profile walk, ("excludant", r) its read at chain
+# length r, ("basis", family, k) one basis_nodes walk.  The bounds are the
+# walk's, a tuple in which None means unbounded; _swept reads and fills it.
 _SWEEPS: dict = {}
 
 
-def _swept(key, bound, build):
-    """The data stored at ``key`` if its bound is at least ``bound``, else
-    ``build()``, stored at ``key`` with ``bound`` in place of the old entry."""
+def _swept(key, bounds, build):
+    """The data at ``key`` if each stored bound covers the one in ``bounds``
+    (is None, or no smaller); else ``build()``, stored with ``bounds`` in place
+    of the old entry, neither merged nor widened (one more basis part can cost
+    far more).  Every histogram keeps the weight, and a basis histogram the
+    length, in its keys, so a reader filters out what lies past its bounds."""
     cached = _SWEEPS.get(key)
-    if cached is None or cached[0] < bound:
-        cached = _SWEEPS[key] = (bound, build())
+    if cached is None or cached[0] != bounds and not all(
+            old is None or new is not None and old >= new for old, new in zip(cached[0], bounds)):
+        cached = _SWEEPS[key] = (bounds, build())
     return cached[1]
 
 

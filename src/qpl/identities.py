@@ -190,15 +190,11 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
 # overlinable sizes of every (family, k).
 #
 # The profile, excludant and basis histograms live in one cache,
-# enumeration._SWEEPS, read and filled through enumeration._swept, which
-# walks again only for a larger bound (the truncation here, the part count
-# there).  basis_gf (I13, I14) and the I18/I19 sides read one basis walk per
-# (family, k, truncation); I18 and I19 ask it for trunc parts, which caps
-# nothing.  Every histogram keeps the weight in its keys, so a smaller
-# truncation reads it with a filter; the per-weight counts and excludant
-# totals are the q_projection and z_moment of the mes histogram (the maes
-# histogram for the maximal excludant, whose zero values add nothing to the
-# total).
+# enumeration._SWEEPS, read and filled through enumeration._swept.  basis_gf
+# (I13, I14) and the I18/I19 sides read one basis walk per (family, k).  The
+# per-weight counts and excludant totals are the q_projection and z_moment
+# of the mes histogram (the maes histogram for the maximal excludant, whose
+# zero values add nothing to the total).
 
 
 def _profile_histograms(trunc: int) -> dict:
@@ -222,8 +218,9 @@ def _profile_histograms(trunc: int) -> dict:
     """
     mes, maes, rep = Counter(), Counter(), Counter()
     mults = defaultdict(Counter)
+    memo = {}
     for n in range(trunc + 1):
-        for profile in _profiles(n, n):
+        for profile in _profiles(n, n, memo):
             count = 1 << len(profile)
             # from the top: maes and the largest repeating size's records
             lo = rep_lo = 1  # the least r no record covers yet
@@ -266,11 +263,11 @@ def _profile_histograms(trunc: int) -> dict:
 
 
 def _profile_sweep(trunc: int) -> dict:
-    return _swept(("profiles",), trunc, lambda: _profile_histograms(trunc))
+    return _swept(("profiles",), (trunc,), lambda: _profile_histograms(trunc))
 
 
 def _excludant_sweep(r: int, trunc: int) -> dict:
-    return _swept(("excludant", r), trunc, lambda: _excludant_histograms(r, trunc))
+    return _swept(("excludant", r), (trunc,), lambda: _excludant_histograms(r, trunc))
 
 
 def _excludant_histograms(r: int, trunc: int) -> dict:
@@ -528,11 +525,11 @@ def _closed_class_gf(family: str, k: int, trunc: int) -> ZQPoly:
     return ZQPoly._make(rows, trunc) + 1
 
 
-def _closed_basis_poly(k: int, m: int, s: int, j: int, trunc: int, family: str) -> ZQPoly:
+def _closed_basis_poly(k: int, m: int, s: int, j: int, trunc: int, z_rows: range) -> ZQPoly:
+    """q^e [m-1 choose j-1] at each z-degree in ``z_rows``."""
     base = QSeries.monomial(_basis_exponent(k, m, s, j), 1, trunc)
-    base = base * gaussian_binomial(m - 1, j - 1, k, trunc)
-    poly = ZQPoly.from_qseries(base, j - 1)
-    return poly + poly.z_shift(1) if family == "L" else poly
+    coeffs = (base * gaussian_binomial(m - 1, j - 1, k, trunc)).coeffs
+    return ZQPoly._make([(0,) * (trunc + 1)] * z_rows.start + [coeffs] * len(z_rows), trunc)
 
 
 def _shifted_binomial_sum(k: int, j: int, trunc: int) -> QSeries:
@@ -709,7 +706,8 @@ def _build_i13(p, n):
     k, m, s, j = p["k"], p["m"], p["s"], p["j"]
     parts = k * (m - 1) + s
     return [[
-        Side("closed form", "closed", lambda: _closed_basis_poly(k, m, s, j, n, "L")),
+        Side("closed form", "closed",
+             lambda: _closed_basis_poly(k, m, s, j, n, range(j - 1, j + 1))),
         Side("basis enumeration", "brute",
              lambda: basis_gf("BL", k, parts, j, False, n) + basis_gf("BL", k, parts, j, True, n)),
     ]]
@@ -721,12 +719,12 @@ def _build_i14(p, n):
     return [
         [
             Side("closed form, plain largest part", "closed",
-                 lambda: _closed_basis_poly(k, m, s, j, n, "F")),
+                 lambda: _closed_basis_poly(k, m, s, j, n, range(j - 1, j))),
             Side("basis enumeration", "brute", lambda: basis_gf("BF", k, parts, j, False, n)),
         ],
         [
             Side("closed form, overlined largest part", "closed",
-                 lambda: _closed_basis_poly(k, m, k, j, n, "F").z_shift(1)),
+                 lambda: _closed_basis_poly(k, m, k, j, n, range(j, j + 1))),
             Side("basis enumeration", "brute", lambda: basis_gf("BF", k, k * m, j, True, n)),
         ],
     ]

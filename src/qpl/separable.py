@@ -245,23 +245,24 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
 
 
 def _basis_histograms(family: str, k: int, trunc, parts: int) -> tuple:
-    """The histograms of the one :func:`basis_nodes` walk per (family, k,
-    trunc), laid out as enumeration._SWEEPS says, up to ``parts`` parts.
-    The end histogram is filled only by a walk that ``parts`` does not cap,
-    at least trunc parts, the one the I18/I19 sides ask for; a capped walk
-    leaves it empty."""
+    """One :func:`basis_nodes` walk of (family, k), read through
+    enumeration._swept, as {(weight, overlines): count} by (length, top
+    size, top overline) for basis_gf, and by (length mod k, end overline)
+    for the I18/I19 sides when ``parts`` >= trunc: no element of weight <=
+    trunc has more parts, so that walk is stored with no part bound."""
+    cap = parts if trunc is None or parts < trunc else None
+
     def walk():
         by_top, by_end = defaultdict(Counter), defaultdict(Counter)
         nodes = basis_nodes(family, k, trunc, parts)
-        uncapped = trunc is not None and parts >= trunc
         for weight, overlines, length, top, top_over, low_over in nodes:
             by_top[length, top, top_over][weight, overlines] += 1
-            if uncapped:
+            if cap is None:
                 end = low_over if family == "BL" else top_over
                 by_end[length % k, end][weight, overlines] += 1
         return by_top, by_end
 
-    return _swept(("basis", family, k, trunc), parts, walk)
+    return _swept(("basis", family, k), (trunc, cap), walk)
 
 
 def basis_gf(family: str, k: int, parts: int, j: int, overlined: bool, trunc=None) -> ZQPoly:

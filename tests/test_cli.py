@@ -71,6 +71,18 @@ def test_stat_errors():
     assert code == 2
 
 
+def test_r_with_conjugate_is_a_usage_error():
+    # Conjugation reads no chain length, so an explicit --r would be dropped.
+    assert _run(["stat", "--parts", "3,1~", "--stat", "conjugate", "--r", "5"]) == (2, "")
+    assert _run(["table", "--n", "2", "--stat", "conjugate", "--r", "3"]) == (2, "")
+    assert _run(["table", "--n", "2", "--stat", "conjugate"])[0] == 0
+    # Absent, --r reads 1.
+    assert _run(["stat", "--parts", "2,2", "--stat", "mes"]) == \
+        _run(["stat", "--parts", "2,2", "--stat", "mes", "--r", "1"]) == (0, "1\n")
+    assert _run(["table", "--n", "5", "--stat", "lrs"]) == \
+        _run(["table", "--n", "5", "--stat", "lrs", "--r", "1"])
+
+
 def test_basis_listing():
     code, text = _run(["basis", "--family", "BL", "--k", "2", "--m", "5"])
     assert code == 0

@@ -14,10 +14,13 @@ unpoisoned pass stored.
 import random
 import sys
 from collections import Counter, defaultdict
+from contextlib import contextmanager
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpl import identities
+from qpl import enumeration, identities
 from qpl.core import (
     Convention,
     count_parts_above,
@@ -29,10 +32,12 @@ from qpl.core import (
 from qpl.enumeration import (
     _SWEEPS,
     ClassTag,
+    _swept,
     basis_elements,
     basis_nodes,
     distinct_congruent_partitions,
     iter_overpartitions,
+    weighted_profiles,
 )
 from qpl.identities import (
     _brute_basis_marked,
@@ -54,15 +59,23 @@ from qpl.series import QSeries, ZQPoly
 N = 18
 
 
-@pytest.fixture
-def cold_sweeps():
+@contextmanager
+def _emptied_sweeps():
     """An empty sweep cache, so the sweep under test runs at the asked
-    truncation; the shared cache is restored afterwards."""
+    bounds; the shared cache is restored afterwards."""
     saved = dict(_SWEEPS)
     _SWEEPS.clear()
-    yield
-    _SWEEPS.clear()
-    _SWEEPS.update(saved)
+    try:
+        yield
+    finally:
+        _SWEEPS.clear()
+        _SWEEPS.update(saved)
+
+
+@pytest.fixture
+def cold_sweeps():
+    with _emptied_sweeps():
+        yield
 
 
 # -- oracles: the object walks ----------------------------------------------
@@ -145,6 +158,30 @@ def walked_basis_gf(family, k, parts, j, overlined, trunc):
     if trunc is None:
         trunc = max((weight for weight, _ in counts), default=0)
     return ZQPoly.from_counts(counts, trunc)
+
+
+@cache
+def element_end_marked(family, k, s, overlined, trunc):
+    """_brute_basis_marked from the elements: filtered on their part count
+    and their smallest (BL) or largest (BF) size's overline, read off each
+    element."""
+    want = Counter(
+        (lam.weight, lam.overlined_count)
+        for m in range(1, trunc + 1) for lam in basis_elements(family, k, m, trunc)
+        if (lam.num_parts - s) % k == 0
+        and lam.has_overlined(1 if family == "BL" else lam.largest_size) == overlined)
+    return ZQPoly.from_counts(want, trunc)
+
+
+def basis_bounds(trunc, parts):
+    """The bounds a basis entry walked to ``trunc`` and ``parts`` is stored
+    with: no part bound once ``parts`` reaches the truncation."""
+    return (trunc, parts if trunc is None or parts < trunc else None)
+
+
+def covers(stored, asked):
+    """The cover rule of the sweep cache, bound by bound (None: unbounded)."""
+    return all(old is None or new is not None and old >= new for old, new in zip(stored, asked))
 
 
 def per_length_distinct_marked(k, s, trunc):
@@ -274,33 +311,39 @@ def test_basis_gf_matches_basis_elements_filter(family, k):
 
 
 def test_shared_basis_histograms_match_one_walk_per_call(cold_sweeps):
-    # In a shuffled order the part count asked at a key rises mid-stream,
-    # so entries are read before and after they are walked again.
+    # In a shuffled order the bounds asked at a key rise and fall mid-stream,
+    # so entries are read, and replaced at the asked bounds when they do not
+    # cover them.
     calls = [(family, k, parts, j, overlined, trunc)
              for family in ("BL", "BF") for k in (1, 2, 3) for trunc in (None, 12, 30)
              for parts in range(1, 3 * k + 1) for j in range(1, parts + 2)
              for overlined in (False, True)]
     random.Random(16).shuffle(calls)
-    asked = {}
+    stored = {}
     for call in calls:
         assert basis_gf(*call) == walked_basis_gf(*call), call
         family, k, parts, _, _, trunc = call
-        key = ("basis", family, k, trunc)
-        asked[key] = max(asked.get(key, 0), parts)
-        assert _SWEEPS[key][0] == asked[key], call  # the largest cap asked
-    assert set(_SWEEPS) == set(asked)
+        key, asked = ("basis", family, k), basis_bounds(trunc, parts)
+        if key not in stored or not covers(stored[key], asked):
+            stored[key] = asked
+        assert _SWEEPS[key][0] == stored[key], call
+    assert set(_SWEEPS) == set(stored)
 
 
 def test_basis_histogram_keeps_its_truncation_and_cap(cold_sweeps, monkeypatch):
     walks = _record_basis_walks(monkeypatch)
     basis_gf("BF", 1, 3, 2, False, 30)
-    basis_gf("BF", 1, 9, 2, False, 12)  # another truncation: its own entry
-    assert {key: cached[0] for key, cached in _SWEEPS.items()} == {
-        ("basis", "BF", 1, 30): 3, ("basis", "BF", 1, 12): 9}
+    assert {key: cached[0] for key, cached in _SWEEPS.items()} == {("basis", "BF", 1): (30, 3)}
     basis_gf("BF", 1, 2, 1, True, 30)  # fewer parts read the stored walk,
-    basis_gf("BF", 1, 3, 1, True, 30)  # and so do as many
-    assert _SWEEPS["basis", "BF", 1, 30][0] == 3
-    assert walks == [("BF", 1, 30, 3), ("BF", 1, 12, 9)]
+    basis_gf("BF", 1, 3, 1, True, 12)  # and so do as many at a smaller truncation
+    assert walks == [("BF", 1, 30, 3)]
+    # More parts walk again at the asked bounds, in place of the old entry:
+    # the truncation is not kept at 30, and the cap is not widened.
+    basis_gf("BF", 1, 9, 2, False, 12)
+    assert {key: cached[0] for key, cached in _SWEEPS.items()} == {("basis", "BF", 1): (12, 9)}
+    basis_gf("BF", 1, 3, 2, False, 30)  # a larger truncation walks again
+    assert _SWEEPS["basis", "BF", 1][0] == (30, 3)
+    assert walks == [("BF", 1, 30, 3), ("BF", 1, 12, 9), ("BF", 1, 30, 3)]
 
 
 @pytest.mark.parametrize("family", ("BL", "BF"))
@@ -313,15 +356,10 @@ def test_brute_basis_sides_match_basis_elements_filter(family, k, cold_sweeps):
     # empty, so the sides walk again.
     for trunc in (0, 7, 20):
         basis_gf(family, k, 2, 1, False, trunc)
-        elements = [lam for m in range(1, trunc + 1) for lam in basis_elements(family, k, m, trunc)]
         for s in range(1, k + 1):
             for overlined in (False, True):
-                want = Counter(
-                    (lam.weight, lam.overlined_count) for lam in elements
-                    if (lam.num_parts - s) % k == 0
-                    and lam.has_overlined(1 if family == "BL" else lam.largest_size) == overlined)
                 assert _brute_basis_marked(family, k, s, overlined, trunc) == \
-                    ZQPoly.from_counts(want, trunc), (trunc, s, overlined)
+                    element_end_marked(family, k, s, overlined, trunc), (trunc, s, overlined)
 
 
 def test_distinct_identities_walk_once_per_basis_key(cold_sweeps, monkeypatch):
@@ -335,11 +373,85 @@ def test_distinct_identities_walk_once_per_basis_key(cold_sweeps, monkeypatch):
 def test_basis_gf_refuses_bool_and_float_truncations_beside_cached_ones(cold_sweeps):
     for trunc in (1, 3):
         basis_gf("BL", 1, 2, 1, False, trunc)
-    # True and 3.0 hash equal to the stored keys at truncations 1 and 3
-    assert ("basis", "BL", 1, True) in _SWEEPS and ("basis", "BL", 1, 3.0) in _SWEEPS
+    # True and 3.0 compare equal to the truncations 1 and 3, so the stored
+    # bounds (3, 2) cover them: only basis_gf's own check refuses them.
+    stored = _SWEEPS["basis", "BL", 1]
+    assert stored[0] == (3, 2)
     for trunc in (True, 3.0):
+        assert _swept(("basis", "BL", 1), (trunc, 2), None) is stored[1]
         with pytest.raises(ValueError):
             basis_gf("BL", 1, 2, 1, False, trunc)
+
+
+def test_one_basis_entry_per_family_and_k_serves_smaller_bounds(cold_sweeps, monkeypatch):
+    walks = _record_basis_walks(monkeypatch)
+    basis_ids = ["I13", "I14", "I18", "I19"]
+    for trunc in (6, 8, 10):  # rising: each truncation replaces the entries
+        assert all(report.passed for report in verify_all(trunc, basis_ids))
+    assert {key: cached[0] for key, cached in _SWEEPS.items()} == {
+        ("basis", family, k): (10, None) for family in ("BL", "BF") for k in (1, 2, 3)}
+    walked = len(walks)
+    for trunc in (9, 7, 5):  # falling: the stored walks answer every side
+        assert all(report.passed for report in verify_all(trunc, basis_ids))
+    assert len(walks) == walked
+    # A walk capped below the truncation cannot answer an end histogram.
+    basis_gf("BL", 2, 3, 1, False, 12)
+    assert _SWEEPS["basis", "BL", 2][0] == (12, 3)
+    assert _brute_basis_marked("BL", 2, 1, True, 12) == element_end_marked("BL", 2, 1, True, 12)
+    assert walks[-2:] == [("BL", 2, 12, 3), ("BL", 2, 12, 12)]
+    assert _SWEEPS["basis", "BL", 2][0] == (12, None)
+    # The profile walk's memo lives for one call: a second walk builds every
+    # profile tuple again.
+    profile_calls = []
+    real = enumeration._profiles
+
+    def counted(n, max_size, memo):
+        profile_calls.append((n, max_size))
+        return real(n, max_size, memo)
+
+    _rebind(monkeypatch, "_profiles", counted)
+    for walk in (lambda: identities._profile_histograms(10), lambda: list(weighted_profiles(10))):
+        profile_calls.clear()
+        first = walk()
+        once = len(profile_calls)
+        assert walk() == first and once and len(profile_calls) == 2 * once
+
+
+@st.composite
+def basis_calls(draw):
+    """A few basis_gf calls and I18/I19 end-histogram reads on small sets,
+    over one to three (family, k), so that calls meet at one cache entry."""
+    keys = st.tuples(st.sampled_from(("BL", "BF")), st.integers(1, 3))
+    keys = st.sampled_from(draw(st.lists(keys, min_size=1, max_size=3)))
+    calls = []
+    for _ in range(draw(st.integers(4, 10))):
+        (family, k), overlined = draw(keys), draw(st.booleans())
+        trunc = draw(st.none() | st.integers(0, 20))
+        if trunc is None or draw(st.booleans()):
+            parts = draw(st.integers(1, 12))
+            j = draw(st.integers(1, parts + 1))
+            calls.append(("basis_gf", family, k, parts, j, overlined, trunc))
+        else:
+            calls.append(("end", family, k, draw(st.integers(1, k)), overlined, trunc))
+    return calls
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(basis_calls())
+def test_basis_sweeps_match_the_object_walks_in_any_order(calls):
+    # Each call reads the one entry of its (family, k), or replaces it, so a
+    # cover rule that answered from the wrong bounds would fail some call.
+    with _emptied_sweeps():
+        for kind, family, k, *rest in calls:
+            if kind == "basis_gf":
+                parts, j, overlined, trunc = rest
+                got = basis_gf(family, k, parts, j, overlined, trunc)
+                assert got == walked_basis_gf(family, k, parts, j, overlined, trunc), calls
+                elements = basis_elements(family, k, parts, trunc)
+                assert got == object_basis_gf(elements, j, overlined, trunc), calls
+            else:
+                got = _brute_basis_marked(family, k, *rest)
+                assert got == element_end_marked(family, k, *rest), calls
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
@@ -418,9 +530,10 @@ def _record_basis_walks(monkeypatch):
 
 
 def _walked_every_basis_histogram(walks):
-    """Every basis histogram in the cache was walked by one of ``walks``."""
-    walked = {("basis",) + args[:3] for args in walks if len(args) == 4}
-    stored = {key for key in _SWEEPS if key[0] == "basis"}
+    """Every basis histogram in the cache was stored by the last of ``walks``
+    at its (family, k), with that walk's bounds."""
+    walked = {("basis",) + args[:2]: basis_bounds(*args[2:]) for args in walks if len(args) == 4}
+    stored = {key: cached[0] for key, cached in _SWEEPS.items() if key[0] == "basis"}
     return bool(stored) and walked == stored
 
 
