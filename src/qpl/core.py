@@ -100,12 +100,16 @@ class Overpartition:
 
     def multiplicity(self, size: int) -> int:
         """Total number of parts of the given size, overlined or not."""
+        if type(size) is not int:  # bool is an int subclass
+            raise ValueError(f"size must be an int, got {size!r}")
         for s, m, _ in self.entries:
             if s == size:
                 return m
         return 0
 
     def has_overlined(self, size: int) -> bool:
+        if type(size) is not int:  # bool is an int subclass
+            raise ValueError(f"size must be an int, got {size!r}")
         for s, _, o in self.entries:
             if s == size:
                 return o
@@ -118,17 +122,13 @@ class Overpartition:
         part (if any) sits last under ``Convention.LAST`` and first under
         ``Convention.FIRST``.
         """
-        out = ()
         first = self.convention is Convention.FIRST
+        out = []
         for size, mult, overlined in self.entries:
-            plain = (size, False)
-            if not overlined:
-                out += (plain,) * mult
-            elif first:
-                out += ((size, True),) + (plain,) * (mult - 1)
-            else:
-                out += (plain,) * (mult - 1) + ((size, True),)
-        return out
+            out += ((size, False),) * mult
+            if overlined:
+                out[-mult if first else -1] = (size, True)
+        return tuple(out)
 
     # -- text format -----------------------------------------------------
 

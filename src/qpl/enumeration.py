@@ -21,8 +21,11 @@ on one size does not constrain the overlines on the others, so
 :func:`weighted_profiles` visits each profile once with its weight.  Every
 prefix of a basis element is itself a basis element, so :func:`basis_nodes`
 visits each basis element once as a node of one depth-first walk, carrying
-only the counts the checks read.  The object generators stay as the public
-API and as the reference the tests compare the sweeps with.
+only the counts the checks read.  ``identities._profile_histograms`` walks
+the profiles in the same way, smallest size first, each node carrying its
+records down instead of building a profile tuple to scan.  The object
+generators stay as the public API and as the reference the tests compare
+the sweeps with.
 """
 
 from __future__ import annotations
@@ -56,22 +59,17 @@ class ClassTag:
         return Convention.FIRST if self.family == "F" else Convention.LAST
 
 
-def _profiles(n: int, max_size: int, memo: dict):
+def _profiles(n: int, max_size: int):
     """Plain partitions of n with parts <= max_size, as ((size, mult), ...)
-    tuples with sizes descending.  ``memo`` holds the tuples built so far;
-    the walk that owns it drops it when it ends."""
+    tuples with sizes descending."""
     if n == 0:
-        return ((),)
-    profiles = memo.get((n, max_size))
-    if profiles is None:
-        out = []
-        for size in range(min(n, max_size), 0, -1):
-            for mult in range(1, n // size + 1):
-                head = ((size, mult),)
-                for rest in _profiles(n - size * mult, size - 1, memo):
-                    out.append(head + rest)
-        profiles = memo[n, max_size] = tuple(out)
-    return profiles
+        yield ()
+        return
+    for size in range(min(n, max_size), 0, -1):
+        for mult in range(1, n // size + 1):
+            head = ((size, mult),)
+            for rest in _profiles(n - size * mult, size - 1):
+                yield head + rest
 
 
 def _token_tables(n: int, convention: Convention):
@@ -250,7 +248,7 @@ def weighted_profiles(n: int):
     if n < 0:
         raise ValueError("n must be >= 0")
     make = Overpartition._make
-    for profile in _profiles(n, n, {}):
+    for profile in _profiles(n, n):
         plain = tuple((size, mult, False) for size, mult in profile)
         yield make(plain, Convention.LAST), 1 << len(profile)
 

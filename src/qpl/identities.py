@@ -47,7 +47,6 @@ from .core import (
 )
 from .enumeration import (
     ClassTag,
-    _profiles,
     _swept,
     weighted_profiles,
 )
@@ -185,8 +184,9 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
 # length r and every class tag.  Each excludant statistic is a step
 # function of r, so the walk counts each profile once per interval of r on
 # which the statistic is constant, and _excludant_sweep(r, trunc) adds up
-# the intervals that contain r, for any r, without walking again.  The
-# same walk counts the profiles by their multiplicities, which fix the
+# the intervals that contain r, for any r, without walking again.  Each
+# profile's records come down from its parent, so no profile is scanned.
+# The walk also counts the profiles by their multiplicities, which fix the
 # overlinable sizes of every (family, k).
 #
 # The profile, excludant and basis histograms live in one cache,
@@ -198,7 +198,7 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
 
 
 def _profile_histograms(trunc: int) -> dict:
-    """Every plain profile of weight <= trunc, walked once.
+    """Every plain profile of weight <= trunc, visited once.
 
     "mes", "maes" and "rep" count overpartitions, 2^d per profile, by
     ``(lo, hi, weight, value)``: the statistic is ``value`` for every chain
@@ -209,56 +209,55 @@ def _profile_histograms(trunc: int) -> dict:
 
     Each statistic is read off the first run of at least r of something in
     a scan, so only a run longer than every run before it, a record, starts
-    a new interval: mes_r scans the absent sizes from 1 up, the run above
-    the top unbounded; maes_r the absent sizes from the top down, the last
-    run reaching size 0, read as one below the size above the run; the
-    repeating sizes the multiplicities - 1, from the top and from the
-    bottom.  Both of those end past the largest multiplicity - 1, so they
-    share one list of joint intervals.
+    a new interval.  One depth-first walk places sizes from the smallest up,
+    so every node is a complete profile.  A child adds one size s above the
+    top with some multiplicity, which opens one run of s - top - 1 absent
+    sizes (for the bottom size, the run down to size 0), its least size
+    top + 1 and its largest s - 1.  mes_r scans the runs from the bottom:
+    the new run comes last, is appended when it is a record, and the run
+    above the top stays open to hi = inf.  maes_r scans them from the top:
+    the new run comes first, so when it is not empty it becomes the first
+    record and drops the parent's records that are no longer.  The
+    repeating sizes scan the multiplicities - 1 the same two ways; both
+    lists end at the largest multiplicity - 1, so they share one list of
+    joint intervals.
     """
     mes, maes, rep = Counter(), Counter(), Counter()
     mults = defaultdict(Counter)
-    memo = {}
-    for n in range(trunc + 1):
-        for profile in _profiles(n, n, memo):
-            count = 1 << len(profile)
-            # from the top: maes and the largest repeating size's records
-            lo = rep_lo = 1  # the least r no record covers yet
-            above = 0
-            big = []  # (last r, size)
-            for size, mult in profile:
-                gap = above - size - 1
-                if gap >= lo:
-                    maes[lo, gap, n, above - 1] += count
-                    lo = gap + 1
-                if mult > rep_lo:
-                    big.append((mult - 1, size))
-                    rep_lo = mult
-                above = size
-            if above - 1 >= lo:
-                maes[lo, above - 1, n, above - 1] += count
-            # from the bottom: mes and the smallest repeating size's records
-            lo = t = rep_lo = 1
-            small = []
-            for size, mult in reversed(profile):
-                if size - t >= lo:
-                    mes[lo, size - t, n, t] += count
-                    lo = size - t + 1
-                t = size + 1
-                if mult > rep_lo:
-                    small.append((mult - 1, size))
-                    rep_lo = mult
-            mes[lo, inf, n, t] += count
-            lo = i = j = 0  # lo: the last r covered
-            while i < len(big):  # the joint intervals, to the last record
-                (big_hi, big_size), (small_hi, small_size) = big[i], small[j]
-                hi = min(big_hi, small_hi)
-                rep[lo + 1, hi, n, big_size, small_size] += count
-                lo = hi
-                i += big_hi == hi
-                j += small_hi == hi
-            rep[lo + 1, inf, n, 0, 0] += count
-            mults[tuple([mult for _, mult in reversed(profile)])][n] += 1
+    # A node: weight, top size, 2^d, multiplicities from the bottom up, the
+    # mes records (lo, hi, value) and the least r they leave open, the maes
+    # records (hi, value) from the top, and the repeating-size records
+    # (hi, size) from the bottom and from the top.
+    stack = [(0, 0, 1, (), (), 1, (), (), ())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        n, top, count, ms, low, lo, high, small, big = pop()
+        for r, hi, value in low:
+            mes[r, hi, n, value] += count
+        mes[lo, inf, n, top + 1] += count
+        r = 1
+        for hi, value in high:
+            maes[r, hi, n, value] += count
+            r = hi + 1
+        r = i = j = 0  # r: the last chain length covered
+        while i < len(big):  # the joint intervals, to the last record
+            (big_hi, big_size), (small_hi, small_size) = big[i], small[j]
+            hi = min(big_hi, small_hi)
+            rep[r + 1, hi, n, big_size, small_size] += count
+            r = hi
+            i += big_hi == hi
+            j += small_hi == hi
+        rep[r + 1, inf, n, 0, 0] += count
+        mults[ms][n] += 1
+        room, rep_hi = trunc - n, small[-1][0] if small else 0
+        for s in range(top + 1, room + 1):
+            gap = s - top - 1
+            s_low, s_lo = (low + ((lo, gap, top + 1),), gap + 1) if gap >= lo else (low, lo)
+            s_high = ((gap, s - 1),) + tuple(rec for rec in high if rec[0] > gap) if gap else high
+            for m in range(1, room // s + 1):
+                push((n + s * m, s, 2 * count, ms + (m,), s_low, s_lo, s_high,
+                      small + ((m - 1, s),) if m - 1 > rep_hi else small,
+                      ((m - 1, s),) + tuple(rec for rec in big if rec[0] >= m) if m > 1 else big))
     return {"mes": mes, "maes": maes, "rep": rep, "mults": mults}
 
 

@@ -129,6 +129,7 @@ class QSeries:
         return cls._make(c, trunc)
 
     def coeff(self, n: int) -> int:
+        _check_ints(exponent=n)
         if not 0 <= n <= self.trunc:
             raise IndexError(f"exponent {n} outside truncation {self.trunc}")
         return self.coeffs[n]
@@ -377,6 +378,7 @@ class ZQPoly:
 
     def z_coeff(self, z: int) -> QSeries:
         """The q-series at z^z; zero past the stored rows and below z^0."""
+        _check_ints(z=z)
         if 0 <= z < len(self.rows):
             return QSeries._make(self.rows[z], self.trunc)
         return QSeries.zero(self.trunc)

@@ -294,6 +294,16 @@ def test_count_parts_above_rejects_non_int_threshold(t):
         count_parts_above(O("5,3,1"), t)
 
 
+@pytest.mark.parametrize("size", (True, False, 1.0, "1", None))
+def test_size_accessors_reject_non_int_sizes(size):
+    # True == 1, so a coerced bool would answer for size 1.
+    pi = O("2,1~")
+    for accessor in (pi.multiplicity, pi.has_overlined):
+        with pytest.raises(ValueError):
+            accessor(size)
+    assert pi.multiplicity(1) == 1 and pi.has_overlined(1)
+
+
 @pytest.mark.parametrize("flag", ("no", 1, 0, None))
 def test_count_parts_above_rejects_non_bool_flag(flag):
     with pytest.raises(ValueError):

@@ -405,6 +405,13 @@ def test_kernel_rejects_floats_and_bools():
         lambda: ZQPoly([[1, 2, 3, 4, 5]], 3),
         lambda: ZQPoly.zero(3.0),
         lambda: ZQPoly.one(3).z_shift(True),
+        # accessors: True would read the q^1 coefficient or the z^1 row
+        lambda: s.coeff(True),
+        lambda: s.coeff(1.0),
+        lambda: ZQPoly.one(3).coeff(False, True),
+        lambda: ZQPoly.one(3).coeff(0, True),
+        lambda: ZQPoly.one(3).z_coeff(False),
+        lambda: ZQPoly.one(3).z_coeff(0.0),
     ]
     for call in calls:
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 Each sweep visits profiles or basis nodes instead of overpartition objects.
 The object walks the library used before stay here as oracles: they build
 every overpartition or basis element and read its statistics one by one.
-The distinct-part walk is compared with one recursion per part count.
+The distinct-part walk is compared with one recursion per part count, and
+the profile walk with the two scans of memoised profile tuples it replaced.
 The last tests poison one kind of side's primitives and evaluate the other
 kind: a brute-force side that borrowed from the closed form it is checked
 against, or a closed side that enumerated, would fail.  Each such pass
@@ -11,6 +12,7 @@ starts from an empty sweep cache, so it walks instead of reading what an
 unpoisoned pass stored.
 """
 
+import math
 import random
 import sys
 from collections import Counter, defaultdict
@@ -81,6 +83,7 @@ def cold_sweeps():
 # -- oracles: the object walks ----------------------------------------------
 
 
+@cache
 def object_excludant_sweep(r, trunc):
     data = {
         "counts": [0] * (trunc + 1),
@@ -106,6 +109,7 @@ def object_excludant_sweep(r, trunc):
     return data
 
 
+@cache
 def object_class_marked(family, k, trunc):
     tag = ClassTag(family, k)
     hist = Counter()
@@ -114,6 +118,81 @@ def object_class_marked(family, k, trunc):
             if is_member(pi, tag):
                 hist[(n, pi.overlined_count)] += 1
     return ZQPoly.from_counts(hist, trunc)
+
+
+def memo_profiles(n, max_size, memo):
+    """Plain partitions of n with parts <= max_size, as ((size, mult), ...)
+    tuples with sizes descending, memoised in ``memo`` by (n, max_size)."""
+    if n == 0:
+        return ((),)
+    profiles = memo.get((n, max_size))
+    if profiles is None:
+        out = []
+        for size in range(min(n, max_size), 0, -1):
+            for mult in range(1, n // size + 1):
+                head = ((size, mult),)
+                for rest in memo_profiles(n - size * mult, size - 1, memo):
+                    out.append(head + rest)
+        profiles = memo[n, max_size] = tuple(out)
+    return profiles
+
+
+def two_scan_profile_histograms(trunc):
+    """identities._profile_histograms as one scan of each profile tuple from
+    the top (maes and the largest repeating size) and one from the bottom
+    (mes and the smallest repeating size), weight by weight."""
+    mes, maes, rep = Counter(), Counter(), Counter()
+    mults = defaultdict(Counter)
+    memo = {}
+    for n in range(trunc + 1):
+        for profile in memo_profiles(n, n, memo):
+            count = 1 << len(profile)
+            # from the top: maes and the largest repeating size's records
+            lo = rep_lo = 1  # the least r no record covers yet
+            above = 0
+            big = []  # (last r, size)
+            for size, mult in profile:
+                gap = above - size - 1
+                if gap >= lo:
+                    maes[lo, gap, n, above - 1] += count
+                    lo = gap + 1
+                if mult > rep_lo:
+                    big.append((mult - 1, size))
+                    rep_lo = mult
+                above = size
+            if above - 1 >= lo:
+                maes[lo, above - 1, n, above - 1] += count
+            # from the bottom: mes and the smallest repeating size's records
+            lo = t = rep_lo = 1
+            small = []
+            for size, mult in reversed(profile):
+                if size - t >= lo:
+                    mes[lo, size - t, n, t] += count
+                    lo = size - t + 1
+                t = size + 1
+                if mult > rep_lo:
+                    small.append((mult - 1, size))
+                    rep_lo = mult
+            mes[lo, math.inf, n, t] += count
+            lo = i = j = 0  # lo: the last r covered
+            while i < len(big):  # the joint intervals, to the last record
+                (big_hi, big_size), (small_hi, small_size) = big[i], small[j]
+                hi = min(big_hi, small_hi)
+                rep[lo + 1, hi, n, big_size, small_size] += count
+                lo = hi
+                i += big_hi == hi
+                j += small_hi == hi
+            rep[lo + 1, math.inf, n, 0, 0] += count
+            mults[tuple([mult for _, mult in reversed(profile)])][n] += 1
+    return {"mes": mes, "maes": maes, "rep": rep, "mults": mults}
+
+
+def plain_histograms(h):
+    """The four profile histograms as plain dicts, so that an entry of
+    count 0 would not compare equal to a missing one."""
+    out = {name: dict(h[name]) for name in ("mes", "maes", "rep")}
+    out["mults"] = {key: dict(weights) for key, weights in h["mults"].items()}
+    return out
 
 
 def object_theorem_count_check(which, n, r):
@@ -263,6 +342,44 @@ def test_one_profile_walk_serves_every_chain_length_and_class_tag(cold_sweeps, m
     assert walks == [25]
 
 
+def test_profile_walk_matches_the_two_scan_oracle():
+    # Every interval key of the four histograms, at every truncation.
+    for trunc in range(21):
+        assert plain_histograms(identities._profile_histograms(trunc)) == \
+            plain_histograms(two_scan_profile_histograms(trunc)), trunc
+
+
+@st.composite
+def profile_calls(draw):
+    """A few excludant reads and class sides at mixed chain lengths,
+    classes and truncations, so that calls meet at the one profile entry."""
+    calls = []
+    for _ in range(draw(st.integers(2, 8))):
+        trunc = draw(st.integers(0, 16))
+        if draw(st.booleans()):
+            calls.append(("excludant", draw(st.integers(1, 25)), trunc))
+        else:
+            calls.append(("class", draw(st.sampled_from(("L", "F"))), draw(st.integers(1, 5)),
+                          trunc))
+    return calls
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(profile_calls())
+def test_profile_sweeps_match_the_object_walks_in_any_order(calls):
+    # A read answered by a walk at a larger truncation filters out the
+    # weights past its own.
+    with _emptied_sweeps():
+        for kind, *args in calls:
+            if kind == "excludant":
+                r, trunc = args
+                want = object_excludant_sweep(r, trunc)
+                for key, hist in _excludant_sweep(r, trunc).items():
+                    assert {w: c for w, c in hist.items() if w[0] <= trunc} == want[key], calls
+            else:
+                assert _brute_class_marked(*args) == object_class_marked(*args), calls
+
+
 @pytest.mark.parametrize("which", ("Thm2_1", "Thm2_2"))
 def test_theorem_count_check_matches_object_walk(which):
     for n in range(N + 1):
@@ -400,21 +517,25 @@ def test_one_basis_entry_per_family_and_k_serves_smaller_bounds(cold_sweeps, mon
     assert _brute_basis_marked("BL", 2, 1, True, 12) == element_end_marked("BL", 2, 1, True, 12)
     assert walks[-2:] == [("BL", 2, 12, 3), ("BL", 2, 12, 12)]
     assert _SWEEPS["basis", "BL", 2][0] == (12, None)
-    # The profile walk's memo lives for one call: a second walk builds every
-    # profile tuple again.
+
+
+def test_profile_walks_keep_no_state_between_calls(monkeypatch):
+    # The profile walk carries its records down its own stack: it builds no
+    # profile tuple, so it calls no _profiles, and a second walk gives the
+    # same histograms.  weighted_profiles streams _profiles afresh per call.
     profile_calls = []
     real = enumeration._profiles
 
-    def counted(n, max_size, memo):
+    def counted(n, max_size):
         profile_calls.append((n, max_size))
-        return real(n, max_size, memo)
+        return real(n, max_size)
 
     _rebind(monkeypatch, "_profiles", counted)
-    for walk in (lambda: identities._profile_histograms(10), lambda: list(weighted_profiles(10))):
-        profile_calls.clear()
-        first = walk()
-        once = len(profile_calls)
-        assert walk() == first and once and len(profile_calls) == 2 * once
+    first = identities._profile_histograms(10)
+    assert identities._profile_histograms(10) == first and not profile_calls
+    first = list(weighted_profiles(10))
+    once = len(profile_calls)
+    assert list(weighted_profiles(10)) == first and once and len(profile_calls) == 2 * once
 
 
 @st.composite
