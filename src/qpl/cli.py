@@ -17,7 +17,7 @@ import sys
 
 from .core import Convention, Overpartition, conjugate, largest_repeating_size, \
     max_excludant_size, min_excludant_size, smallest_positive_repeating_size
-from .enumeration import ClassTag, basis_elements, enumerate_class, overpartitions_of
+from .enumeration import ClassTag, _basis_family, basis_elements, enumerate_class, overpartitions_of
 from .identities import IDENTITY_IDS, PARAMETERS, _resolve, catalog_instances, verify
 from .separable import decompose
 
@@ -222,8 +222,7 @@ def _cmd_basis(args, out) -> int:
 def _cmd_decompose(args, out) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
-    convention = "last" if args.family == "BL" else "first"
-    pi = _parse_overpartition(args.parts, convention)
+    pi = _parse_overpartition(args.parts, _basis_family(args.family, args.k)[0].convention.value)
     try:
         witness = decompose(pi, args.family, args.k)
     except ValueError as exc:

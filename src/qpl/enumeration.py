@@ -19,20 +19,22 @@ The sweeps behind the identity checks count instead of building objects.
 A profile with d distinct sizes carries 2^d overpartitions, and an overline
 on one size does not constrain the overlines on the others, so
 :func:`weighted_profiles` visits each profile once with its weight.  Every
-prefix of a basis element is itself a basis element, so :func:`basis_nodes`
-visits each basis element once as a node of one depth-first walk, carrying
-only the counts the checks read.  ``identities._profile_histograms`` walks
-the profiles in the same way, smallest size first, each node carrying its
-records down instead of building a profile tuple to scan.  The object
+prefix of a basis element is itself a basis element, so
+``separable._basis_histograms`` visits each basis element once as a node
+of one depth-first walk, by the child rule of :func:`_basis_children`,
+carrying only the counts the checks read.  ``identities._profile_histograms``
+walks the profiles in the same way, smallest size first, each node carrying
+its records down instead of building a profile tuple to scan.  The object
 generators stay as the public API and as the reference the tests compare
-the sweeps with.
+the sweeps with.  :func:`_basis_family` is the one statement of a basis
+family: its class tag, which carries the convention, and where it allows
+an overline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from functools import cached_property, lru_cache
 
 from .core import Convention, Overpartition, Partition
 from .series import _check_ints
@@ -270,16 +272,16 @@ def enumerate_class(n: int, tag: ClassTag):
     return _class_walk(n, tag.convention, 1 if tag.family == "all" else tag.k)
 
 
+@lru_cache(maxsize=64, typed=True)  # untyped, 1, True and 1.0 would share a key
 def _basis_family(family: str, k: int):
-    """The convention of a basis family and its overline-position test: may
-    the part at 0-based position ``length`` from the bottom be overlined."""
-    _check_ints(k=k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """The class tag of a basis family, BL in L_k and BF in F_k, which
+    validates k and carries the family's convention, and its overline
+    test: may the part at 0-based position ``length`` from the bottom be
+    overlined."""
     if family == "BL":
-        return Convention.LAST, lambda length: length % k == 0
+        return ClassTag("L", k), lambda length: length % k == 0
     if family == "BF":
-        return Convention.FIRST, lambda length: (length + 1) % k == 0
+        return ClassTag("F", k), lambda length: (length + 1) % k == 0
     raise ValueError(f"unknown basis family {family!r}")
 
 
@@ -311,7 +313,7 @@ def basis_elements(family: str, k: int, m: int, max_weight=None):
         _check_ints(max_weight=max_weight)
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    convention, allowed = _basis_family(family, k)
+    tag, allowed = _basis_family(family, k)
     results = []
     # Stack holds (parts bottom-first, weight); parts are (size, overlined).
     stack = [([], 0)]
@@ -319,7 +321,7 @@ def basis_elements(family: str, k: int, m: int, max_weight=None):
         parts, weight = stack.pop()
         length = len(parts)
         if length == m:
-            results.append(Overpartition.from_written(reversed(parts), convention))
+            results.append(Overpartition.from_written(reversed(parts), tag.convention))
             continue
         below = parts[-1] if parts else (0, False)
         for size, over in _basis_children(family, allowed, length, *below):
@@ -331,21 +333,9 @@ def basis_elements(family: str, k: int, m: int, max_weight=None):
     return results
 
 
-class BasisNode(NamedTuple):
-    """One basis element as :func:`basis_nodes` sees it: no parts, only the
-    counts and flags the identity checks read."""
-
-    weight: int
-    overlined: int  # overlined parts, one per overlined size
-    length: int  # number of parts
-    top_size: int  # the largest size
-    top_overlined: bool  # the first written part is overlined
-    smallest_overlined: bool  # size 1 carries an overline
-
-
 # The sweep cache: key -> (bounds, data).  A key names what is counted:
 # ("profiles",) the one profile walk, ("excludant", r) its read at chain
-# length r, ("basis", family, k) one basis_nodes walk.  The bounds are the
+# length r, ("basis", family, k) one basis walk.  The bounds are the
 # walk's, a tuple in which None means unbounded; _swept reads and fills it.
 _SWEEPS: dict = {}
 
@@ -361,38 +351,6 @@ def _swept(key, bounds, build):
             old is None or new is not None and old >= new for old, new in zip(cached[0], bounds)):
         cached = _SWEEPS[key] = (bounds, build())
     return cached[1]
-
-
-def basis_nodes(family: str, k: int, max_weight=None, max_length=None):
-    """Every basis element with weight <= ``max_weight`` and at most
-    ``max_length`` parts, once each and in no particular order, as a
-    :class:`BasisNode`.  One depth-first walk emits every prefix, since each
-    prefix is itself a basis element; nothing is built or sorted.  At least
-    one bound must be given."""
-    _, allowed = _basis_family(family, k)
-    if max_weight is None and max_length is None:
-        raise ValueError("give max_weight or max_length")
-    stack = [BasisNode(0, 0, 0, 0, False, False)]  # the empty prefix
-    while stack:
-        node = stack.pop()
-        if node.length:
-            yield node
-        if node.length == max_length:
-            continue
-        for size, over in _basis_children(
-            family, allowed, node.length, node.top_size, node.top_overlined
-        ):
-            weight = node.weight + size
-            if max_weight is not None and weight > max_weight:
-                continue
-            stack.append(BasisNode(
-                weight,
-                node.overlined + over,
-                node.length + 1,
-                size,
-                over,
-                node.smallest_overlined or (over and size == 1),
-            ))
 
 
 def distinct_congruent_partitions(n: int, j: int, k: int, s: int):

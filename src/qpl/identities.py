@@ -176,8 +176,9 @@ def _excludant_numerator(n: int, r: int, trunc: int) -> QSeries:
 # repeating sizes, count_parts_above) depends only on the plain profile, so
 # each profile adds its 2^d overpartitions at once.  Class membership tests
 # each size on its own, so a profile with a sizes that may carry an overline
-# adds C(a, z) members with z overlines.  The basis sides read walks of
-# enumeration.basis_nodes.  Each sweep still visits every profile or basis
+# adds C(a, z) members with z overlines.  separable._basis_histograms walks
+# the basis elements of a family, read off enumeration._basis_family, and
+# counts each as it pops it.  Each sweep still visits every profile or basis
 # element and borrows nothing from the closed form it is compared with.
 #
 # One walk over the profiles (_profile_histograms) serves every chain
@@ -464,15 +465,14 @@ def _closed_mes_marked(r: int, trunc: int) -> ZQPoly:
     # z sum_j q^((r+1)j) (-1;q)_j / (q;q)_j prod_{t > j} omega_t(z), where
     # omega_t(z) = 1 + 2 z q^t + 2 z^2 q^(2t) + ... + 2 z^r q^(rt).  Summed
     # Horner-style, innermost term first: add head j to the z-rows, then
-    # apply omega_(j+1), so each factor is applied once, in place.
-    def omega(t):
-        return [(i, i * t, 2) for i in range(1, min(r, trunc // t) + 1)]
-
+    # apply omega_(j+1), so each factor is applied once, in place.  The term
+    # (e, c) of omega_t carries z^(e // t).
+    omegas = [[(e // t, e, c) for e, c in _omega_factor(t, r, trunc)] for t in range(1, trunc + 1)]
     rows = [[0] * (trunc + 1)]
     for j, head in enumerate(_rep_size_heads(r, trunc)):
         rows[0] = [a + b for a, b in zip(rows[0], head)]
-        _apply_z_factors(rows, [omega(j + 1)])
-    _apply_z_factors(rows, [omega(t) for t in range(j + 2, trunc + 1)])
+        _apply_z_factors(rows, omegas[j:j + 1])
+    _apply_z_factors(rows, omegas[j + 1:])
     return ZQPoly._make([[0] * (trunc + 1)] + rows, trunc)
 
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from math import inf
 from operator import itemgetter, lt
 
 from .core import Convention, Overpartition, Partition
-from .enumeration import ClassTag, _swept, basis_nodes
+from .enumeration import ClassTag, _basis_children, _basis_family, _swept
 from .series import ZQPoly, _check_ints
 
 
@@ -66,15 +65,6 @@ def _overlinable_sizes(mults, tag: ClassTag) -> int:
     return allowed
 
 
-@lru_cache(maxsize=64)  # a tag validates itself on construction
-def _family_tag(family: str, k: int) -> ClassTag:
-    if family == "BL":
-        return ClassTag("L", k)
-    if family == "BF":
-        return ClassTag("F", k)
-    raise ValueError(f"unknown basis family {family!r}")
-
-
 _multiplicity = itemgetter(1)
 _overlined = itemgetter(2)
 
@@ -92,7 +82,7 @@ def is_basis_element(lam: Overpartition, family: str, k: int) -> bool:
     membership already rejects that, as F_k then needs the parts of size 1
     to number a multiple of k.
     """
-    tag = _family_tag(family, k)
+    tag, _ = _basis_family(family, k)
     if lam.convention is not tag.convention:
         raise _convention_mismatch(lam, tag.convention, f"{family} basis test")
     entries = lam.entries
@@ -210,7 +200,7 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
     ``compose(witness) == pi``, all in block form); a verification failure
     means an internal bug, since every class member decomposes uniquely.
     """
-    tag = _family_tag(family, k)
+    tag, _ = _basis_family(family, k)
     if not is_member(pi, tag):
         raise ValueError(f"overpartition is not a {tag.family}_{k} member")
     if not pi.entries:
@@ -245,21 +235,37 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
 
 
 def _basis_histograms(family: str, k: int, trunc, parts: int) -> tuple:
-    """One :func:`basis_nodes` walk of (family, k), read through
-    enumeration._swept, as {(weight, overlines): count} by (length, top
-    size, top overline) for basis_gf, and by (length mod k, end overline)
-    for the I18/I19 sides when ``parts`` >= trunc: no element of weight <=
-    trunc has more parts, so that walk is stored with no part bound."""
+    """One walk of the basis elements of (family, k) with weight <= trunc
+    and at most ``parts`` parts, read through enumeration._swept, as
+    {(weight, overlines): count} by (length, top size, top overline) for
+    basis_gf, and by (length mod k, end overline) for the I18/I19 sides
+    when ``parts`` >= trunc: no element of weight <= trunc has more parts,
+    so that walk is stored with no part bound.
+
+    Every prefix of an element is one, so a depth-first walk over the
+    choices of enumeration._basis_children counts each element as it pops
+    its node ``(weight, overlines, length, top size, top overline, size 1
+    overlined)``; nothing is built or sorted."""
     cap = parts if trunc is None or parts < trunc else None
 
     def walk():
+        _, allowed = _basis_family(family, k)
+        bl = family == "BL"
         by_top, by_end = defaultdict(Counter), defaultdict(Counter)
-        nodes = basis_nodes(family, k, trunc, parts)
-        for weight, overlines, length, top, top_over, low_over in nodes:
-            by_top[length, top, top_over][weight, overlines] += 1
-            if cap is None:
-                end = low_over if family == "BL" else top_over
-                by_end[length % k, end][weight, overlines] += 1
+        stack = [(0, 0, 0, 0, False, False)]  # the empty prefix
+        pop, push = stack.pop, stack.append
+        while stack:
+            weight, overlines, length, top, top_over, low_over = pop()
+            if length:
+                by_top[length, top, top_over][weight, overlines] += 1
+                if cap is None:
+                    by_end[length % k, low_over if bl else top_over][weight, overlines] += 1
+            if length == parts:
+                continue
+            for size, over in _basis_children(family, allowed, length, top, top_over):
+                if trunc is None or weight + size <= trunc:
+                    push((weight + size, overlines + over, length + 1, size, over,
+                          low_over or over and size == 1))
         return by_top, by_end
 
     return _swept(("basis", family, k), (trunc, cap), walk)
@@ -400,7 +406,7 @@ def _bijection_from_distinct(nu: Partition, family: str, k: int, s: int) -> Over
             built.append((t, extra + s, family == "BL"))
     if entries:
         raise ValueError("partition does not fit the staircase")
-    lam = Overpartition(built, _family_tag(family, k).convention)
+    lam = Overpartition(built, _basis_family(family, k)[0].convention)
     if not is_basis_element(lam, family, k):
         raise AssertionError("inverse image failed the basis check")
     return lam

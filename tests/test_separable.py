@@ -127,6 +127,21 @@ def test_decompose_rejects_non_members():
         decompose(O(""), "BL", 1)
 
 
+def test_basis_family_refuses_bool_and_float_k_once_the_int_is_cached():
+    # 1, True and 1.0 are equal and hash alike, so a cache keyed on their
+    # values would answer True and 1.0 with the tag cached for k = 1.
+    assert decompose(O("2,1"), "BL", 1).padding == (1, 0)
+    assert is_basis_element(O("1~"), "BL", 1)
+    assert bl_bijection_to_distinct(O("1~"), 1, 1) == Partition((1,))
+    for k in (True, 1.0):
+        with pytest.raises(ValueError, match="k must be an int"):
+            decompose(O("2,1"), "BL", k)
+        with pytest.raises(ValueError, match="k must be an int"):
+            is_basis_element(O("1~"), "BL", k)
+        with pytest.raises(ValueError, match="k must be an int"):
+            bl_bijection_to_distinct(O("1~"), k, 1)
+
+
 def _exhaustive_witnesses(pi, family, k):
     """All (basis, padding) pairs composing to pi; the uniqueness oracle."""
     m = pi.num_parts

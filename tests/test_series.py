@@ -508,3 +508,41 @@ def test_z_shift_moves_every_row_and_undoes_itself(p, d):
     assert p.z_shift(-low).z_shift(low) == p
     with pytest.raises(ValueError):
         p.z_shift(-low - 1 - d)
+
+
+@st.composite
+def zq_pairs(draw):
+    """Two z-marked polynomials of up to 4 z-rows at one truncation up to 8,
+    with coefficients in -5..5."""
+    n = draw(st.integers(0, 8))
+    row = st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)
+    return tuple(ZQPoly(draw(st.lists(row, max_size=4)), n) for _ in range(2))
+
+
+@PROPERTY
+@given(zq_pairs())
+def test_zq_sum_commutes_and_difference_undoes_it(ab):
+    a, b = ab
+    assert (a + b) - b == a
+    assert a - a == ZQPoly.zero(a.trunc) and (a - a).is_zero()
+    assert a + b == b + a
+
+
+@PROPERTY
+@given(zq_pairs())
+def test_q_projection_and_z_moment_are_additive(ab):
+    a, b = ab
+    assert (a + b).q_projection() == a.q_projection() + b.q_projection()
+    assert (a + b).z_moment() == a.z_moment() + b.z_moment()
+    # d/dz (z p) = p + z p', so at z = 1 the shift adds the projection
+    assert a.z_shift(1).z_moment() == a.z_moment() + a.q_projection()
+
+
+@PROPERTY
+@given(zq_pairs())
+def test_q_projection_and_z_moment_of_a_product(ab):
+    # Setting z = 1 is a ring map, and d/dz at z = 1 obeys the Leibniz rule.
+    a, b = ab
+    pa, pb = a.q_projection(), b.q_projection()
+    assert (a * b).q_projection() == pa * pb
+    assert (a * b).z_moment() == a.z_moment() * pb + pa * b.z_moment()

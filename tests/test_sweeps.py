@@ -3,6 +3,8 @@
 Each sweep visits profiles or basis nodes instead of overpartition objects.
 The object walks the library used before stay here as oracles: they build
 every overpartition or basis element and read its statistics one by one.
+The basis walk is also compared with a generator of one record per node,
+which the inline walk of ``separable._basis_histograms`` replaced.
 The distinct-part walk is compared with one recursion per part count, and
 the profile walk with the two scans of memoised profile tuples it replaced.
 The last tests poison one kind of side's primitives and evaluate the other
@@ -18,6 +20,7 @@ import sys
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from functools import cache
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,9 +37,10 @@ from qpl.core import (
 from qpl.enumeration import (
     _SWEEPS,
     ClassTag,
+    _basis_children,
+    _basis_family,
     _swept,
     basis_elements,
-    basis_nodes,
     distinct_congruent_partitions,
     iter_overpartitions,
     weighted_profiles,
@@ -55,7 +59,7 @@ from qpl.identities import (
     theorem_count_check,
     verify_all,
 )
-from qpl.separable import basis_gf, is_member
+from qpl.separable import _basis_histograms, basis_gf, is_member
 from qpl.series import QSeries, ZQPoly
 
 N = 18
@@ -214,6 +218,66 @@ def object_theorem_count_check(which, n, r):
                 rhs[(count_parts_above(pi, small, inclusive=True) - 1, small)] += 1
     mismatches = _diff(ZQPoly.from_counts(lhs, axis), ZQPoly.from_counts(rhs, axis))
     return _report(which, {"n": n, "r": r}, n, mismatches)
+
+
+class BasisNode(NamedTuple):
+    """One basis element as :func:`basis_nodes` sees it: no parts, only the
+    counts and flags the identity checks read."""
+
+    weight: int
+    overlined: int  # overlined parts, one per overlined size
+    length: int  # number of parts
+    top_size: int  # the largest size
+    top_overlined: bool  # the first written part is overlined
+    smallest_overlined: bool  # size 1 carries an overline
+
+
+def basis_nodes(family, k, max_weight=None, max_length=None):
+    """Every basis element with weight <= ``max_weight`` and at most
+    ``max_length`` parts, once each and in no particular order, as a
+    :class:`BasisNode`.  One depth-first walk emits every prefix, since each
+    prefix is itself a basis element.  At least one bound must be given."""
+    _, allowed = _basis_family(family, k)
+    if max_weight is None and max_length is None:
+        raise ValueError("give max_weight or max_length")
+    stack = [BasisNode(0, 0, 0, 0, False, False)]  # the empty prefix
+    while stack:
+        node = stack.pop()
+        if node.length:
+            yield node
+        if node.length == max_length:
+            continue
+        for size, over in _basis_children(
+            family, allowed, node.length, node.top_size, node.top_overlined
+        ):
+            weight = node.weight + size
+            if max_weight is not None and weight > max_weight:
+                continue
+            stack.append(BasisNode(
+                weight,
+                node.overlined + over,
+                node.length + 1,
+                size,
+                over,
+                node.smallest_overlined or (over and size == 1),
+            ))
+
+
+def node_basis_histograms(family, k, trunc, parts):
+    """_basis_histograms read off the basis_nodes generator, as plain dicts."""
+    cap = basis_bounds(trunc, parts)[1]
+    by_top, by_end = defaultdict(Counter), defaultdict(Counter)
+    for node in basis_nodes(family, k, trunc, parts):
+        counts = (node.weight, node.overlined)
+        by_top[node.length, node.top_size, node.top_overlined][counts] += 1
+        if cap is None:
+            end = node.smallest_overlined if family == "BL" else node.top_overlined
+            by_end[node.length % k, end][counts] += 1
+    return plain_basis_histograms((by_top, by_end))
+
+
+def plain_basis_histograms(histograms):
+    return tuple({key: dict(counts) for key, counts in h.items()} for h in histograms)
 
 
 def object_basis_gf(elements, j, overlined, trunc):
@@ -402,6 +466,17 @@ def test_basis_nodes_match_basis_elements(family, k):
     )
 
 
+@pytest.mark.parametrize("family", ("BL", "BF"))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_basis_walk_matches_the_node_generator(family, k, cold_sweeps):
+    # Capped and uncapped walks, at part bounds below, at and above the
+    # truncation, and with no truncation.
+    for trunc, parts in ((0, 0), (None, 1), (None, 6), (5, 5), (12, 4), (25, 25), (30, 40)):
+        _SWEEPS.clear()
+        assert plain_basis_histograms(_basis_histograms(family, k, trunc, parts)) == \
+            node_basis_histograms(family, k, trunc, parts), (trunc, parts)
+
+
 def test_bf_largest_size_is_overlined_exactly_when_the_top_part_is():
     # Under BF an overlined part is followed by a size bump and the overline
     # is written first in its block, so the top part's flag, which the I19
@@ -484,7 +559,7 @@ def test_distinct_identities_walk_once_per_basis_key(cold_sweeps, monkeypatch):
     # however many instances and sides read it.
     walks = _record_basis_walks(monkeypatch)
     assert all(report.passed for report in verify_all(40, ["I18", "I19"]))
-    assert sorted(walks) == [(family, k, 40, 40) for family in ("BF", "BL") for k in (1, 2, 3)]
+    assert sorted(walks) == [(family, k, 40, None) for family in ("BF", "BL") for k in (1, 2, 3)]
 
 
 def test_basis_gf_refuses_bool_and_float_truncations_beside_cached_ones(cold_sweeps):
@@ -515,7 +590,7 @@ def test_one_basis_entry_per_family_and_k_serves_smaller_bounds(cold_sweeps, mon
     basis_gf("BL", 2, 3, 1, False, 12)
     assert _SWEEPS["basis", "BL", 2][0] == (12, 3)
     assert _brute_basis_marked("BL", 2, 1, True, 12) == element_end_marked("BL", 2, 1, True, 12)
-    assert walks[-2:] == [("BL", 2, 12, 3), ("BL", 2, 12, 12)]
+    assert walks[-2:] == [("BL", 2, 12, 3), ("BL", 2, 12, None)]
     assert _SWEEPS["basis", "BL", 2][0] == (12, None)
 
 
@@ -608,7 +683,6 @@ ENUMERATORS = (
     "_class_walk",
     "_profiles",
     "weighted_profiles",
-    "basis_nodes",
     "basis_elements",
     "distinct_congruent_partitions",
     "basis_gf",
@@ -639,21 +713,26 @@ def _poison(monkeypatch, functions=POISONED_FUNCTIONS, methods=POISONED_METHODS)
 
 
 def _record_basis_walks(monkeypatch):
-    """Record the positional arguments of every basis_nodes call."""
+    """Record every basis walk as ``(family, k) + bounds``: each build that
+    _swept runs at a ("basis", family, k) key, with the bounds it stores."""
     calls = []
 
-    def recorded(*args):
-        calls.append(args)
-        return basis_nodes(*args)
+    def recorded(key, bounds, build):
+        def walk():
+            if key[0] == "basis":
+                calls.append(key[1:] + bounds)
+            return build()
 
-    _rebind(monkeypatch, "basis_nodes", recorded)
+        return _swept(key, bounds, walk)
+
+    _rebind(monkeypatch, "_swept", recorded)
     return calls
 
 
 def _walked_every_basis_histogram(walks):
     """Every basis histogram in the cache was stored by the last of ``walks``
     at its (family, k), with that walk's bounds."""
-    walked = {("basis",) + args[:2]: basis_bounds(*args[2:]) for args in walks if len(args) == 4}
+    walked = {("basis",) + walk[:2]: walk[2:] for walk in walks}
     stored = {key: cached[0] for key, cached in _SWEEPS.items() if key[0] == "basis"}
     return bool(stored) and walked == stored
 
