@@ -820,7 +820,6 @@ def _check_param(name: str, value, domain=None):
 @dataclass(frozen=True)
 class Identity:
     id: str
-    summary: str
     builder: object
     param_names: tuple
     defaults: dict
@@ -889,58 +888,47 @@ def _with_forms(grid):
 IDENTITIES = {
     e.id: e
     for e in [
-        Identity("I1", "total minimal excludant size, chain length 1",
-                 _build_i1, (), {}, lambda: [{}], BRUTE_TRUNC_GUARD),
-        Identity("I2", "total minimal excludant size, chain length r",
-                 _build_i2, ("r", "form"), {"form": FORM_DEFAULT},
+        Identity("I1", _build_i1, (), {}, lambda: [{}], BRUTE_TRUNC_GUARD),
+        Identity("I2", _build_i2, ("r", "form"), {"form": FORM_DEFAULT},
                  lambda: _with_forms(_grid_r()), BRUTE_TRUNC_GUARD),
-        Identity("I3", "total maximal excludant size, chain length r",
-                 _build_i3, ("r", "w_reading"),
+        Identity("I3", _build_i3, ("r", "w_reading"),
                  {"w_reading": W_READING_DEFAULT}, _grid_r, BRUTE_TRUNC_GUARD),
-        Identity("I4", "bridge between the two excludant-total forms",
-                 _build_i4, ("form",), {"form": FORM_DEFAULT},
+        Identity("I4", _build_i4, ("form",), {"form": FORM_DEFAULT},
                  lambda: _with_forms([{}]), BRUTE_TRUNC_GUARD),
-        Identity("I5", "stratification by largest repeating size",
-                 _build_i5, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
-        Identity("I6", "largest repeating size at most n-1",
-                 _build_i6, ("r", "n", "form"), {"form": FORM_DEFAULT},
+        Identity("I5", _build_i5, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
+        Identity("I6", _build_i6, ("r", "n", "form"), {"form": FORM_DEFAULT},
                  lambda: _with_forms(_grid_rn("n", 8)), BRUTE_TRUNC_GUARD),
-        Identity("I7", "z-marked minimal excludant size generator",
-                 _build_i7, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
-        Identity("I8", "some positive repeating size",
-                 _build_i8, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
-        Identity("I9", "smallest positive repeating size at most m",
-                 _build_i9, ("r", "m"), {}, lambda: _grid_rn("m", 8), BRUTE_TRUNC_GUARD),
-        Identity("I10", "z-marked maximal excludant size generator",
-                 _build_i10, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
-        Identity("I11", "L-class z-marked generating function",
-                 _build_i11, ("k",), {}, lambda: _grid_k(4), BRUTE_TRUNC_GUARD),
-        Identity("I12", "F-class z-marked generating function",
-                 _build_i12, ("k",), {}, lambda: _grid_k(4), BRUTE_TRUNC_GUARD),
-        Identity("I13", "L-basis polynomial closed form",
-                 _build_i13, ("k", "m", "s", "j"), {}, _grid_kmsj, SERIES_TRUNC_GUARD),
-        Identity("I14", "F-basis polynomial closed forms",
-                 _build_i14, ("k", "m", "s", "j"), {}, _grid_kmsj, SERIES_TRUNC_GUARD),
-        Identity("I15", "Euler product expansion",
-                 _build_i15, (), {}, lambda: [{}], SERIES_TRUNC_GUARD),
-        Identity("I16", "q-binomial recurrence",
-                 _build_i16, ("A", "B", "k"), {}, _grid_abk, SERIES_TRUNC_GUARD),
-        Identity("I17", "shifted q-binomial summation",
-                 _build_i17, ("k", "j"), {},
+        Identity("I7", _build_i7, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
+        Identity("I8", _build_i8, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
+        Identity("I9", _build_i9, ("r", "m"), {}, lambda: _grid_rn("m", 8), BRUTE_TRUNC_GUARD),
+        Identity("I10", _build_i10, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
+        Identity("I11", _build_i11, ("k",), {}, lambda: _grid_k(4), BRUTE_TRUNC_GUARD),
+        Identity("I12", _build_i12, ("k",), {}, lambda: _grid_k(4), BRUTE_TRUNC_GUARD),
+        Identity("I13", _build_i13, ("k", "m", "s", "j"), {}, _grid_kmsj, SERIES_TRUNC_GUARD),
+        Identity("I14", _build_i14, ("k", "m", "s", "j"), {}, _grid_kmsj, SERIES_TRUNC_GUARD),
+        Identity("I15", _build_i15, (), {}, lambda: [{}], SERIES_TRUNC_GUARD),
+        Identity("I16", _build_i16, ("A", "B", "k"), {}, _grid_abk, SERIES_TRUNC_GUARD),
+        Identity("I17", _build_i17, ("k", "j"), {},
                  lambda: [{"k": k, "j": j} for k in (1, 2, 3) for j in range(1, 7)],
                  SERIES_TRUNC_GUARD),
-        Identity("I18", "L-basis subsets against distinct congruent partitions",
-                 _build_i18, ("k", "s"), {}, _grid_ks, BRUTE_TRUNC_GUARD),
-        Identity("I19", "F-basis subsets against distinct congruent partitions",
-                 _build_i19, ("k", "s"), {}, _grid_ks, BRUTE_TRUNC_GUARD),
+        Identity("I18", _build_i18, ("k", "s"), {}, _grid_ks, BRUTE_TRUNC_GUARD),
+        Identity("I19", _build_i19, ("k", "s"), {}, _grid_ks, BRUTE_TRUNC_GUARD),
     ]
 }
+
+
+def _entry(identity: str) -> Identity:
+    """The catalog entry of an identity id; an unknown id is a ValueError."""
+    try:
+        return IDENTITIES[identity]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise ValueError(f"unknown identity {identity!r}") from None
 
 
 def _resolve(identity: str, params, trunc: int):
     """The normalized parameters and the lazy equations of one instance,
     once the truncation has passed the entry's guard."""
-    entry = IDENTITIES[identity]
+    entry = _entry(identity)
     params = entry.normalize(params)
     if type(trunc) is not int:  # bool is an int subclass
         raise ValueError(f"truncation must be an integer (got {trunc!r})")
@@ -1002,20 +990,23 @@ def catalog_instances(trunc: int, identities=None, overrides=None) -> list:
     """``(identity, params, trunc)`` for every default-grid instance, in
     catalog order, with the truncation capped at each entry's guard.
 
-    ``overrides`` replaces the grid values of the parameters an entry takes;
+    ``identities`` is a collection of ids, every id when empty or None; a
+    bare string or an unknown id is a ValueError.  ``overrides`` replaces the grid values of the parameters an entry takes;
     entries that do not take one keep their grid, but an override that no
     selected entry takes is an error.  Instances the overrides make equal
     are listed once.
     """
+    if isinstance(identities, str):
+        raise ValueError(f"identities must be a collection of ids, not {identities!r}")
     identities = tuple(identities or IDENTITY_IDS)
+    entries = [_entry(identity) for identity in identities]
     overrides = dict(overrides or {})
     for name in overrides:
-        if not any(name in IDENTITIES[i].param_names for i in identities):
+        if not any(name in entry.param_names for entry in entries):
             raise ValueError(f"{'/'.join(identities)} takes no parameter {name!r}")
     instances = []
     seen = set()
-    for identity in identities:
-        entry = IDENTITIES[identity]
+    for identity, entry in zip(identities, entries):
         for base in entry.grid():
             params = dict(base)
             params.update((n, v) for n, v in overrides.items() if n in entry.param_names)

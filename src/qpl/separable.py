@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from math import inf
 from operator import itemgetter, lt
 
@@ -85,6 +86,12 @@ def is_basis_element(lam: Overpartition, family: str, k: int) -> bool:
     tag, _ = _basis_family(family, k)
     if lam.convention is not tag.convention:
         raise _convention_mismatch(lam, tag.convention, f"{family} basis test")
+    return _is_basis(lam, family, tag)
+
+
+def _is_basis(lam: Overpartition, family: str, tag: ClassTag) -> bool:
+    """:func:`is_basis_element` past the lookup of the family's tag and the
+    convention test, for callers that hold the tag."""
     entries = lam.entries
     if not entries or not is_member(lam, tag):
         return False
@@ -102,6 +109,8 @@ class DecompositionWitness:
     padding: tuple
 
     def __post_init__(self):
+        if not isinstance(self.basis, Overpartition):
+            raise ValueError(f"basis must be an Overpartition, got {self.basis!r}")
         padding = tuple(self.padding)
         if not set(map(type, padding)) <= {int}:
             raise ValueError(f"padding entries must be ints, got {padding!r}")
@@ -224,7 +233,7 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
     witness = DecompositionWitness._make(
         Overpartition._make(tuple(blocks), tag.convention), tuple(padding))
     try:  # compose rejects a negative or increasing padding
-        ok = is_basis_element(witness.basis, family, k) and compose(witness) == pi
+        ok = _is_basis(witness.basis, family, tag) and compose(witness) == pi
     except ValueError:
         ok = False
     if not ok:
@@ -313,101 +322,51 @@ def toggle_extreme_overline(lam: Overpartition, family: str) -> Overpartition:
     return Overpartition._make(entries, lam.convention)
 
 
-def _length_residue(length: int, k: int) -> int:
-    """The representative of length mod k in 1..k."""
-    return (length - 1) % k + 1
-
-
-def _strip_staircase(lam: Overpartition, k: int, j: int, remove_at_top: int, top_overlined: bool):
-    """Remove one overline per size below j, k-1 plain copies of each size
-    below j, and ``remove_at_top`` parts at size j (the overlined one first
-    when present); return the remaining plain multiplicities."""
-    remaining = {}
-    seen = {size: (mult, over) for size, mult, over in lam.entries}
-    for t in range(1, j + 1):
-        mult, over = seen.pop(t, (0, False))
-        if t < j:
-            if not over:
-                raise ValueError(f"size {t} must carry an overline")
-            take = k
-        else:
-            if over != top_overlined:
-                raise ValueError(
-                    f"size {j} must {'carry' if top_overlined else 'not carry'} an overline"
-                )
-            take = remove_at_top
-        left = mult - take
-        if left < 0 or left % k != 0:
-            raise ValueError(f"size {t} has multiplicity {mult}, cannot remove {take}")
-        if left:
-            remaining[t] = left
-    if seen:
-        raise ValueError("parts larger than the largest expected size")
-    parts = []
-    for t in sorted(remaining, reverse=True):
-        parts.extend([t] * remaining[t])
-    return Partition(parts)
-
-
-def _staircase_image(mu: Partition, k: int, s: int, j: int) -> Partition:
-    """Conjugate the stripped remainder and add the arithmetic staircase
-    k(j-1)+s, ..., k+s, s."""
-    conj = list(mu.conjugate().parts)
-    if len(conj) > j:
-        raise ValueError("remainder has parts larger than the staircase length")
-    conj.extend([0] * (j - len(conj)))
-    return Partition(tuple(conj[i] + k * (j - 1 - i) + s for i in range(j)))
-
-
-def _staircase_preimage(nu: Partition, k: int, s: int) -> Partition:
-    """Invert :func:`_staircase_image`: subtract the staircase, conjugate."""
-    j = len(nu)
-    cols = []
-    for i, part in enumerate(nu.parts):
-        c = part - k * (j - 1 - i) - s
-        if c < 0 or c % k != 0:
-            raise ValueError("partition does not fit the staircase")
-        cols.append(c)
-    if any(a < b for a, b in zip(cols, cols[1:])):
-        raise ValueError("partition does not fit the staircase")
-    return Partition([c for c in cols if c]).conjugate()
-
-
 def _bijection_to_distinct(lam: Overpartition, family: str, k: int, s: int) -> Partition:
+    """Part i of the image (0-based, largest first) counts the parts of lam
+    of size > i: one suffix sum of the multiplicities m_t, top block first.
+    With L_t = m_t - k below the top size j and L_j = m_j - s, that is the
+    staircase k(j-1-i) + s plus the sum of L_t over t > i.
+
+    No count needs checking past the basis, residue and extreme-overline
+    tests: L_k or F_k membership with sizes 1..j-1 overlined makes each m_t
+    below j a multiple of k, and the residue makes m_j = s (mod k) with
+    1 <= s <= k, so every L_t is a nonnegative multiple of k."""
+    _check_ints(s=s)
     if not is_basis_element(lam, family, k):
         raise ValueError(f"not a {family} basis element")
-    if _length_residue(lam.num_parts, k) != s:
+    if (lam.num_parts - 1) % k + 1 != s:
         raise ValueError("part count does not match s mod k")
-    j = lam.largest_size
-    if family == "BL" and not lam.has_overlined(1):
-        raise ValueError("smallest part must be overlined")
-    if family == "BF" and lam.has_overlined(j):
-        raise ValueError("largest part must be plain")
-    mu = _strip_staircase(lam, k, j, remove_at_top=s, top_overlined=family == "BL")
-    return _staircase_image(mu, k, s, j)
+    bl = family == "BL"
+    if lam.entries[-1 if bl else 0][2] != bl:
+        raise ValueError("smallest part must be overlined" if bl else "largest part must be plain")
+    return Partition(reversed(tuple(accumulate(map(_multiplicity, lam.entries)))))
 
 
 def _bijection_from_distinct(nu: Partition, family: str, k: int, s: int) -> Overpartition:
+    """Inverse of :func:`_bijection_to_distinct`, read from the smallest part
+    up: size i+1 gets nu_i - nu_(i+1) copies, with nu_j = 0.  That is the
+    step c_i - c_(i+1) of c_i = nu_i - k(j-1-i) - s, plus k, or s at the
+    top; nu fits only if every step is >= 0 and a multiple of k.  Sizes
+    below j are overlined, and j only under BL."""
+    tag, _ = _basis_family(family, k)
+    _check_ints(s=s)
     if not 1 <= s <= k:
         raise ValueError("s must satisfy 1 <= s <= k")
     j = len(nu)
     if j < 1:
         raise ValueError("need at least one part")
-    mu = _staircase_preimage(nu, k, s)
-    entries = {}
-    for p in mu.parts:
-        entries[p] = entries.get(p, 0) + 1
-    built = []
-    for t in range(j, 0, -1):
-        extra = entries.pop(t, 0)
-        if t < j:
-            built.append((t, extra + k, True))
-        else:  # the largest size is overlined in BL and plain in BF
-            built.append((t, extra + s, family == "BL"))
-    if entries:
-        raise ValueError("partition does not fit the staircase")
-    lam = Overpartition(built, _basis_family(family, k)[0].convention)
-    if not is_basis_element(lam, family, k):
+    entries = []
+    smaller = 0  # the part read before this one
+    for size in range(j, 0, -1):
+        part = nu.parts[size - 1]
+        step = part - smaller - (s if size == j else k)
+        if step < 0 or step % k:
+            raise ValueError("partition does not fit the staircase")
+        entries.append((size, part - smaller, size < j or family == "BL"))
+        smaller = part
+    lam = Overpartition._make(tuple(entries), tag.convention)
+    if not _is_basis(lam, family, tag):
         raise AssertionError("inverse image failed the basis check")
     return lam
 

@@ -42,9 +42,13 @@ from qpl.separable import (
     decompose,
     is_member,
     toggle_extreme_overline,
-    _length_residue,
 )
 from qpl.series import QSeries, gaussian_binomial, q_pochhammer
+
+
+def _length_residue(length, k):
+    """The representative of length mod k in 1..k."""
+    return (length - 1) % k + 1
 
 
 def iter_basis_elements(family, k, max_weight):

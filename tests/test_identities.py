@@ -198,8 +198,23 @@ def test_param_validation():
         verify("I6", {"r": 1}, 10)  # missing n
     with pytest.raises(ValueError):
         verify("I3", {"r": 1, "w_reading": "nonsense"}, 10)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown identity 'I99'"):
         verify("I99", {}, 10)
+
+
+def test_unknown_identity_ids_are_value_errors():
+    for fn in (verify, closed_form, brute_force):
+        for bad in ("I99", "i1", "", 1, ["I1"]):
+            with pytest.raises(ValueError, match="unknown identity"):
+                fn(bad, {}, 10)
+    for fn in (verify_all, catalog_instances):
+        with pytest.raises(ValueError, match="unknown identity 'I99'"):
+            fn(10, ("I15", "I99"))
+        # a bare string is not a collection of ids, even a valid id
+        for bad in ("I1", "I15"):
+            with pytest.raises(ValueError, match="collection of ids"):
+                fn(10, bad)
+    assert catalog_instances(10, ["I15"]) == [("I15", {}, 10)]
 
 
 def test_bool_parameters_rejected():

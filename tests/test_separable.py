@@ -1,4 +1,5 @@
 from functools import cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qpl.core import Convention, Overpartition, Partition
 from qpl.enumeration import (
     ClassTag,
+    _basis_family,
     basis_elements,
     distinct_congruent_partitions,
     iter_overpartitions,
@@ -22,11 +24,15 @@ from qpl.separable import (
     is_basis_element,
     is_member,
     toggle_extreme_overline,
-    _length_residue,
 )
 from qpl.series import ZQPoly, gaussian_binomial, QSeries
 
 O = Overpartition.parse
+
+
+def _length_residue(length, k):
+    """The representative of length mod k in 1..k."""
+    return (length - 1) % k + 1
 
 
 def iter_basis_elements(family, k, max_weight):
@@ -223,6 +229,27 @@ def test_decompose_matches_per_part_oracle():
                     if is_member(pi, tag):
                         assert decompose(pi, family, k) == per_part_witness(pi, family), \
                             (pi.text(), family, k)
+
+
+def test_witness_refuses_a_basis_that_is_not_an_overpartition():
+    for basis in ("x", "1,1", None, Partition((1, 1))):
+        with pytest.raises(ValueError, match="basis must be an Overpartition"):
+            DecompositionWitness(basis, ())
+
+
+def test_decompose_looks_up_the_basis_family_once(monkeypatch):
+    import qpl.separable as separable
+    calls = []
+
+    def counted(family, k):
+        calls.append((family, k))
+        return _basis_family(family, k)
+
+    monkeypatch.setattr(separable, "_basis_family", counted)
+    for pi, family, k in ((O("4,4,3~,2,1"), "BL", 2), (O("3,2~,2,1~,1", "first"), "BF", 2)):
+        calls.clear()
+        assert compose(decompose(pi, family, k)) == pi
+        assert calls == [(family, k)]
 
 
 def test_witness_rejects_non_int_padding():
@@ -565,6 +592,155 @@ def test_bijection_preconditions():
         bf_bijection_to_distinct(O("2,1"), 2, 2)  # wrong convention/not basis
 
 
+BIJECTIONS = {
+    "BL": (bl_bijection_to_distinct, bl_bijection_from_distinct),
+    "BF": (bf_bijection_to_distinct, bf_bijection_from_distinct),
+}
+
+
+def test_bijections_refuse_bool_and_float_s():
+    cases = [(bl_bijection_to_distinct, O("1~")), (bf_bijection_to_distinct, O("1", "first")),
+             (bl_bijection_from_distinct, Partition((1,))),
+             (bf_bijection_from_distinct, Partition((1,)))]
+    for bijection, arg in cases:
+        assert bijection(arg, 1, 1) is not None
+        for s in (True, 1.0):
+            with pytest.raises(ValueError, match="s must be an int"):
+                bijection(arg, 1, s)
+
+
+# -- the parts-based oracle for the block-form bijections ---------------------
+
+def _strip_staircase(lam, k, j, remove_at_top, top_overlined):
+    """Remove one overline per size below j, k-1 plain copies of each size
+    below j, and ``remove_at_top`` parts at size j (the overlined one first
+    when present); return the remaining plain multiplicities."""
+    remaining = {}
+    seen = {size: (mult, over) for size, mult, over in lam.entries}
+    for t in range(1, j + 1):
+        mult, over = seen.pop(t, (0, False))
+        if t < j:
+            if not over:
+                raise ValueError(f"size {t} must carry an overline")
+            take = k
+        else:
+            if over != top_overlined:
+                raise ValueError(
+                    f"size {j} must {'carry' if top_overlined else 'not carry'} an overline"
+                )
+            take = remove_at_top
+        left = mult - take
+        if left < 0 or left % k != 0:
+            raise ValueError(f"size {t} has multiplicity {mult}, cannot remove {take}")
+        if left:
+            remaining[t] = left
+    if seen:
+        raise ValueError("parts larger than the largest expected size")
+    parts = []
+    for t in sorted(remaining, reverse=True):
+        parts.extend([t] * remaining[t])
+    return Partition(parts)
+
+
+def _staircase_image(mu, k, s, j):
+    """Conjugate the stripped remainder and add the arithmetic staircase
+    k(j-1)+s, ..., k+s, s."""
+    conj = list(mu.conjugate().parts)
+    if len(conj) > j:
+        raise ValueError("remainder has parts larger than the staircase length")
+    conj.extend([0] * (j - len(conj)))
+    return Partition(tuple(conj[i] + k * (j - 1 - i) + s for i in range(j)))
+
+
+def _staircase_preimage(nu, k, s):
+    """Invert _staircase_image: subtract the staircase, conjugate."""
+    j = len(nu)
+    cols = []
+    for i, part in enumerate(nu.parts):
+        c = part - k * (j - 1 - i) - s
+        if c < 0 or c % k != 0:
+            raise ValueError("partition does not fit the staircase")
+        cols.append(c)
+    if any(a < b for a, b in zip(cols, cols[1:])):
+        raise ValueError("partition does not fit the staircase")
+    return Partition([c for c in cols if c]).conjugate()
+
+
+def to_distinct_parts(lam, family, k, s):
+    """Oracle for the to-distinct bijections: strip the staircase off a
+    sorted part list, conjugate the rest and add the staircase back."""
+    if not is_basis_element(lam, family, k):
+        raise ValueError(f"not a {family} basis element")
+    if _length_residue(lam.num_parts, k) != s:
+        raise ValueError("part count does not match s mod k")
+    j = lam.largest_size
+    if family == "BL" and not lam.has_overlined(1):
+        raise ValueError("smallest part must be overlined")
+    if family == "BF" and lam.has_overlined(j):
+        raise ValueError("largest part must be plain")
+    mu = _strip_staircase(lam, k, j, remove_at_top=s, top_overlined=family == "BL")
+    return _staircase_image(mu, k, s, j)
+
+
+def from_distinct_parts(nu, family, k, s):
+    """Oracle for the from-distinct bijections: subtract the staircase,
+    conjugate, and put the stripped parts and overlines back."""
+    if not 1 <= s <= k:
+        raise ValueError("s must satisfy 1 <= s <= k")
+    j = len(nu)
+    if j < 1:
+        raise ValueError("need at least one part")
+    mu = _staircase_preimage(nu, k, s)
+    entries = {}
+    for p in mu.parts:
+        entries[p] = entries.get(p, 0) + 1
+    built = []
+    for t in range(j, 0, -1):
+        extra = entries.pop(t, 0)
+        if t < j:
+            built.append((t, extra + k, True))
+        else:  # the largest size is overlined in BL and plain in BF
+            built.append((t, extra + s, family == "BL"))
+    if entries:
+        raise ValueError("partition does not fit the staircase")
+    lam = Overpartition(built, "last" if family == "BL" else "first")
+    if not is_basis_element(lam, family, k):
+        raise AssertionError("inverse image failed the basis check")
+    return lam
+
+
+@pytest.mark.parametrize("family", ("BL", "BF"))
+def test_bijections_match_parts_oracle_on_basis_elements(family):
+    """Every basis element of weight <= 30 with k <= 4, as enumerated and
+    with its extreme overline toggled, for every s in 0..k+1: the value or
+    the ValueError message of both directions matches the oracle."""
+    to_distinct, from_distinct = BIJECTIONS[family]
+    for k in (1, 2, 3, 4):
+        for base in iter_basis_elements(family, k, 30):
+            for lam in (base, toggle_extreme_overline(base, family)):
+                for s in range(k + 2):
+                    nu = _outcome(to_distinct, lam, k, s)
+                    assert nu == _outcome(to_distinct_parts, lam, family, k, s), \
+                        (lam.text(), k, s)
+                    if isinstance(nu, Partition):
+                        assert from_distinct(nu, k, s) == lam
+
+
+@pytest.mark.parametrize("family", ("BL", "BF"))
+def test_from_distinct_matches_parts_oracle_on_small_partitions(family):
+    """Every partition with at most 4 parts of size at most 13, for k <= 3
+    and s in 0..k+1: the value or the ValueError message matches the
+    oracle."""
+    from_distinct = BIJECTIONS[family][1]
+    for length in range(5):
+        for parts in combinations_with_replacement(range(13, 0, -1), length):
+            nu = Partition(parts)
+            for k in (1, 2, 3):
+                for s in range(k + 2):
+                    assert _outcome(from_distinct, nu, k, s) == \
+                        _outcome(from_distinct_parts, nu, family, k, s), (parts, k, s)
+
+
 def _bl_primed(k, max_weight):
     for lam in iter_basis_elements("BL", k, max_weight):
         if lam.has_overlined(1):
@@ -613,10 +789,6 @@ def test_bf_bijection_round_trip_and_image():
             assert got == want, (k, n, s, j)
 
 
-BIJECTIONS = {
-    "BL": (bl_bijection_to_distinct, bl_bijection_from_distinct),
-    "BF": (bf_bijection_to_distinct, bf_bijection_from_distinct),
-}
 cached_basis_elements = cache(basis_elements)
 
 
