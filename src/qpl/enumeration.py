@@ -11,9 +11,9 @@ it counts the parts it places and visits members only, and the stream of
 all overpartitions is its k = 1 case.  What can follow a prefix depends on
 a small state, not on the prefix, so near the leaves the walk stops
 branching: a node of small remaining weight joins its prefix to each entry
-of a list of completions built once per call for its state.  Public
-generators yield in a fixed order (lexicographic on the canonical text) so
-golden outputs are stable.
+of a list of completions built once for its state and shared by every
+call.  Public generators yield in a fixed order (lexicographic on the
+canonical text) so golden outputs are stable.
 
 The sweeps behind the identity checks count instead of building objects.
 A profile with d distinct sizes carries 2^d overpartitions, and an overline
@@ -145,7 +145,10 @@ def _class_walk(n: int, convention: Convention, k: int):
     block,) + new blocks`` when the entry adds parts to the open block,
     and ``closed + (open block,) + new blocks`` otherwise.  The lists are built on first
     use, recursively over a node's children in text order, by the child
-    rule the stack uses; they live for one call, and their block tuples are
+    rule the stack uses.  A state's remaining weight is at most
+    ``_SUFFIX_WEIGHT``, and the token rows up to that weight are the same
+    for every n, so the lists depend only on (convention, k): they live in
+    the sweep cache, shared by every call, and their block tuples are
     shared by every object that ends in them.
     """
     _check_ints(n=n)
@@ -180,7 +183,7 @@ def _class_walk(n: int, convention: Convention, k: int):
             row = plain[cap]
         return row, (step, step)
 
-    suffixes = {}
+    suffixes = _swept(("suffixes", convention, k), (), dict)
 
     def suffix_list(rem, prev, block_over, phase):
         """Build and store the suffix list of a state not in ``suffixes``
@@ -335,8 +338,10 @@ def basis_elements(family: str, k: int, m: int, max_weight=None):
 
 # The sweep cache: key -> (bounds, data).  A key names what is counted:
 # ("profiles",) the one profile walk, ("excludant", r) its read at chain
-# length r, ("basis", family, k) one basis walk.  The bounds are the
-# walk's, a tuple in which None means unbounded; _swept reads and fills it.
+# length r, ("basis", family, k) one basis walk, ("suffixes", convention, k)
+# the class walk's suffix lists, filled as walks reach their states.  The
+# bounds are the walk's, a tuple in which None means unbounded (the suffix
+# lists have none); _swept reads and fills it.
 _SWEEPS: dict = {}
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import count, islice, zip_longest
 from math import comb, inf
 
@@ -821,23 +821,29 @@ def _check_param(name: str, value, domain=None):
 class Identity:
     id: str
     builder: object
-    param_names: tuple
+    # The default grid: each parameter and its values, in loop order.  A
+    # range that depends on an earlier parameter is a function of the point
+    # built so far.
+    grid: dict
     defaults: dict
-    grid: object
     # I1-I12, I18 and I19 stop at BRUTE_TRUNC_GUARD: they walk profiles, or
     # every basis element with no length cap (17,392 nodes for BL k=1 at
     # weight 40, 203,964 at weight 60).  I13 and I14 cap their walk by part
     # count and I15-I17 are series only, so they get SERIES_TRUNC_GUARD.
     guard: int
 
+    @cached_property
+    def param_names(self) -> tuple:
+        return tuple(dict.fromkeys([*self.grid, *self.defaults]))
+
     def normalize(self, params) -> dict:
-        params = dict(params or {})
+        params, names = dict(params or {}), self.param_names
         out = dict(self.defaults)
         for name, value in params.items():
-            if name not in self.param_names:
+            if name not in names:
                 raise ValueError(f"{self.id} takes no parameter {name!r}")
             out[name] = value
-        for name in self.param_names:
+        for name in names:
             if name not in out:
                 raise ValueError(f"{self.id} requires parameter {name!r}")
             out[name] = _check_param(name, out[name])
@@ -846,73 +852,35 @@ class Identity:
         return out
 
 
-def _grid_r():
-    return [{"r": r} for r in (1, 2, 3)]
-
-
-def _grid_rn(name, hi):
-    return [{"r": r, name: v} for r in (1, 2, 3) for v in range(1, hi + 1)]
-
-
-def _grid_k(hi):
-    return [{"k": k} for k in range(1, hi + 1)]
-
-
-def _grid_kmsj():
-    return [
-        {"k": k, "m": m, "s": s, "j": j}
-        for k in (1, 2, 3)
-        for m in range(1, 8)
-        for s in range(1, k + 1)
-        for j in range(1, m + 1)
-    ]
-
-
-def _grid_ks():
-    return [{"k": k, "s": s} for k in (1, 2, 3) for s in range(1, k + 1)]
-
-
-def _grid_abk():
-    return [
-        {"A": a, "B": b, "k": k}
-        for k in (1, 2, 3, 4)
-        for a in range(1, 13)
-        for b in range(0, a + 1)
-    ]
-
-
-def _with_forms(grid):
-    return [dict(p, form=form) for p in grid for form in FORMS]
-
+_R = {"r": (1, 2, 3)}
+_KS = {"k": (1, 2, 3), "s": lambda p: range(1, p["k"] + 1)}
+_KMSJ = {"k": (1, 2, 3), "m": range(1, 8), "s": _KS["s"], "j": lambda p: range(1, p["m"] + 1)}
 
 IDENTITIES = {
     e.id: e
     for e in [
-        Identity("I1", _build_i1, (), {}, lambda: [{}], BRUTE_TRUNC_GUARD),
-        Identity("I2", _build_i2, ("r", "form"), {"form": FORM_DEFAULT},
-                 lambda: _with_forms(_grid_r()), BRUTE_TRUNC_GUARD),
-        Identity("I3", _build_i3, ("r", "w_reading"),
-                 {"w_reading": W_READING_DEFAULT}, _grid_r, BRUTE_TRUNC_GUARD),
-        Identity("I4", _build_i4, ("form",), {"form": FORM_DEFAULT},
-                 lambda: _with_forms([{}]), BRUTE_TRUNC_GUARD),
-        Identity("I5", _build_i5, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
-        Identity("I6", _build_i6, ("r", "n", "form"), {"form": FORM_DEFAULT},
-                 lambda: _with_forms(_grid_rn("n", 8)), BRUTE_TRUNC_GUARD),
-        Identity("I7", _build_i7, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
-        Identity("I8", _build_i8, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
-        Identity("I9", _build_i9, ("r", "m"), {}, lambda: _grid_rn("m", 8), BRUTE_TRUNC_GUARD),
-        Identity("I10", _build_i10, ("r",), {}, _grid_r, BRUTE_TRUNC_GUARD),
-        Identity("I11", _build_i11, ("k",), {}, lambda: _grid_k(4), BRUTE_TRUNC_GUARD),
-        Identity("I12", _build_i12, ("k",), {}, lambda: _grid_k(4), BRUTE_TRUNC_GUARD),
-        Identity("I13", _build_i13, ("k", "m", "s", "j"), {}, _grid_kmsj, SERIES_TRUNC_GUARD),
-        Identity("I14", _build_i14, ("k", "m", "s", "j"), {}, _grid_kmsj, SERIES_TRUNC_GUARD),
-        Identity("I15", _build_i15, (), {}, lambda: [{}], SERIES_TRUNC_GUARD),
-        Identity("I16", _build_i16, ("A", "B", "k"), {}, _grid_abk, SERIES_TRUNC_GUARD),
-        Identity("I17", _build_i17, ("k", "j"), {},
-                 lambda: [{"k": k, "j": j} for k in (1, 2, 3) for j in range(1, 7)],
-                 SERIES_TRUNC_GUARD),
-        Identity("I18", _build_i18, ("k", "s"), {}, _grid_ks, BRUTE_TRUNC_GUARD),
-        Identity("I19", _build_i19, ("k", "s"), {}, _grid_ks, BRUTE_TRUNC_GUARD),
+        Identity("I1", _build_i1, {}, {}, BRUTE_TRUNC_GUARD),
+        Identity("I2", _build_i2, {**_R, "form": FORMS}, {"form": FORM_DEFAULT},
+                 BRUTE_TRUNC_GUARD),
+        Identity("I3", _build_i3, _R, {"w_reading": W_READING_DEFAULT}, BRUTE_TRUNC_GUARD),
+        Identity("I4", _build_i4, {"form": FORMS}, {"form": FORM_DEFAULT}, BRUTE_TRUNC_GUARD),
+        Identity("I5", _build_i5, _R, {}, BRUTE_TRUNC_GUARD),
+        Identity("I6", _build_i6, {**_R, "n": range(1, 9), "form": FORMS},
+                 {"form": FORM_DEFAULT}, BRUTE_TRUNC_GUARD),
+        Identity("I7", _build_i7, _R, {}, BRUTE_TRUNC_GUARD),
+        Identity("I8", _build_i8, _R, {}, BRUTE_TRUNC_GUARD),
+        Identity("I9", _build_i9, {**_R, "m": range(1, 9)}, {}, BRUTE_TRUNC_GUARD),
+        Identity("I10", _build_i10, _R, {}, BRUTE_TRUNC_GUARD),
+        Identity("I11", _build_i11, {"k": range(1, 5)}, {}, BRUTE_TRUNC_GUARD),
+        Identity("I12", _build_i12, {"k": range(1, 5)}, {}, BRUTE_TRUNC_GUARD),
+        Identity("I13", _build_i13, _KMSJ, {}, SERIES_TRUNC_GUARD),
+        Identity("I14", _build_i14, _KMSJ, {}, SERIES_TRUNC_GUARD),
+        Identity("I15", _build_i15, {}, {}, SERIES_TRUNC_GUARD),
+        Identity("I16", _build_i16, {"k": range(1, 5), "A": range(1, 13),
+                                     "B": lambda p: range(p["A"] + 1)}, {}, SERIES_TRUNC_GUARD),
+        Identity("I17", _build_i17, {"k": (1, 2, 3), "j": range(1, 7)}, {}, SERIES_TRUNC_GUARD),
+        Identity("I18", _build_i18, _KS, {}, BRUTE_TRUNC_GUARD),
+        Identity("I19", _build_i19, _KS, {}, BRUTE_TRUNC_GUARD),
     ]
 }
 
@@ -991,29 +959,30 @@ def catalog_instances(trunc: int, identities=None, overrides=None) -> list:
     catalog order, with the truncation capped at each entry's guard.
 
     ``identities`` is a collection of ids, every id when empty or None; a
-    bare string or an unknown id is a ValueError.  ``overrides`` replaces the grid values of the parameters an entry takes;
-    entries that do not take one keep their grid, but an override that no
-    selected entry takes is an error.  Instances the overrides make equal
-    are listed once.
+    bare string or an unknown id is a ValueError.  An override fixes that
+    parameter in the grid of every entry that takes it, and the values that
+    depend on it follow it (``k`` = 2 gives I18 s = 1, 2); entries that do
+    not take it keep their grid, but an override that no selected entry
+    takes, or a value outside the parameter's domain, is an error.
     """
     if isinstance(identities, str):
         raise ValueError(f"identities must be a collection of ids, not {identities!r}")
     identities = tuple(identities or IDENTITY_IDS)
     entries = [_entry(identity) for identity in identities]
     overrides = dict(overrides or {})
-    for name in overrides:
+    for name, value in overrides.items():
         if not any(name in entry.param_names for entry in entries):
             raise ValueError(f"{'/'.join(identities)} takes no parameter {name!r}")
+        _check_param(name, value)  # before a range is built from it
     instances = []
-    seen = set()
     for identity, entry in zip(identities, entries):
-        for base in entry.grid():
-            params = dict(base)
-            params.update((n, v) for n, v in overrides.items() if n in entry.param_names)
-            key = (identity, tuple(sorted(params.items())))
-            if key not in seen:
-                seen.add(key)
-                instances.append((identity, params, min(trunc, entry.guard)))
+        grid = dict(entry.grid)  # an override keeps its parameter's place
+        grid.update((n, (v,)) for n, v in overrides.items() if n in entry.param_names)
+        points = [{}]
+        for name, values in grid.items():
+            points = [{**p, name: v} for p in points
+                      for v in (values(p) if callable(values) else values)]
+        instances += [(identity, p, min(trunc, entry.guard)) for p in points]
     return instances
 
 

@@ -332,6 +332,8 @@ def _bijection_to_distinct(lam: Overpartition, family: str, k: int, s: int) -> P
     tests: L_k or F_k membership with sizes 1..j-1 overlined makes each m_t
     below j a multiple of k, and the residue makes m_j = s (mod k) with
     1 <= s <= k, so every L_t is a nonnegative multiple of k."""
+    if not isinstance(lam, Overpartition):
+        raise ValueError(f"lam must be an Overpartition, got {lam!r}")
     _check_ints(s=s)
     if not is_basis_element(lam, family, k):
         raise ValueError(f"not a {family} basis element")
@@ -349,6 +351,8 @@ def _bijection_from_distinct(nu: Partition, family: str, k: int, s: int) -> Over
     step c_i - c_(i+1) of c_i = nu_i - k(j-1-i) - s, plus k, or s at the
     top; nu fits only if every step is >= 0 and a multiple of k.  Sizes
     below j are overlined, and j only under BL."""
+    if not isinstance(nu, Partition):
+        raise ValueError(f"nu must be a Partition, got {nu!r}")
     tag, _ = _basis_family(family, k)
     _check_ints(s=s)
     if not 1 <= s <= k:

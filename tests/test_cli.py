@@ -161,6 +161,19 @@ def test_verify_grid_when_params_partial():
                        "--trunc", "15", "--format", "tsv"])
     assert code == 0
     assert text.splitlines() == ["I9\tm=3,r=2\t15\tpass\t0"]
+    # An override fixes its parameter, and the values that depend on it follow.
+    for argv, want in (
+        (["--identity", "I18", "--k", "2"], ["k=2,s=1", "k=2,s=2"]),
+        (["--identity", "I16", "--A", "3", "--k", "1"], [f"A=3,B={b},k=1" for b in range(4)]),
+        (["--identity", "I13", "--m", "2", "--k", "1"], ["j=1,k=1,m=2,s=1", "j=2,k=1,m=2,s=1"]),
+    ):
+        code, text = _run(["verify", *argv, "--trunc", "8", "--format", "tsv"])
+        assert code == 0
+        assert [line.split("\t")[1] for line in text.splitlines()] == want
+    # Every entry that takes k runs at k = 1; the subtracted forms fail.
+    code, text = _run(["verify", "--all", "--k", "1", "--trunc", "8", "--format", "tsv"])
+    assert code == 1 and "error:" not in text
+    assert {line.split("\t")[0] for line in text.splitlines()} == set(IDENTITIES)
 
 
 def test_verify_bound_far_above_the_truncation():
@@ -194,6 +207,8 @@ def test_verify_usage_errors():
     assert _run(["verify", "--identity", "I1", "--all"])[0] == 2
     assert _run(["verify", "--identity", "I1", "--m", "3"])[0] == 2
     assert _run(["verify", "--identity", "I2", "--k", "1"])[0] == 2
+    assert _run(["verify", "--identity", "I18", "--k", "0"])[0] == 2
+    assert _run(["verify", "--identity", "I13", "--m", "0"])[0] == 2
     assert _run(["verify", "--identity", "I99"])[0] == 2
     assert _run(["bogus"])[0] == 2
 
@@ -253,6 +268,17 @@ def test_catalog_instances_match_the_recorded_catalog():
         [("I11", {"k": k}, 25) for k in (1, 2, 3, 4)]
     with pytest.raises(ValueError):
         catalog_instances(25, ("I2",), {"k": 1})
+    for bad in (0, -1, 1.5, True):  # refused before a range is built from it
+        with pytest.raises(ValueError, match="parameter k"):
+            catalog_instances(25, ("I18",), {"k": bad})
+    # an override fixes its parameter, and the values that depend on it follow
+    assert catalog_instances(25, ("I18",), {"k": 2}) == \
+        [("I18", {"k": 2, "s": s}, 25) for s in (1, 2)]
+    assert catalog_instances(25, ("I16",), {"A": 3, "k": 1}) == \
+        [("I16", {"k": 1, "A": 3, "B": b}, 25) for b in range(4)]
+    assert catalog_instances(25, ("I13",), {"m": 2, "k": 1}) == \
+        [("I13", {"k": 1, "m": 2, "s": 1, "j": j}, 25) for j in (1, 2)]
+    assert all(p["k"] == 1 for _, p, _ in catalog_instances(8, overrides={"k": 1}) if "k" in p)
 
 
 def test_verify_all_json_is_the_recorded_catalog():

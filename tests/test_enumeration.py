@@ -1,9 +1,12 @@
+import random
 import time
 from itertools import zip_longest
 
 from qpl.core import Convention, Overpartition, Partition
 from qpl.enumeration import (
+    _SWEEPS,
     ClassTag,
+    _class_walk,
     basis_elements,
     distinct_congruent_partitions,
     enumerate_class,
@@ -290,3 +293,26 @@ def test_interleaved_class_streams_match_separate_runs():
             if pi is not None:
                 out.append(pi)
     assert list(got) == want
+
+
+def test_class_walks_share_their_suffix_lists():
+    # A repeat walk builds no list.
+    tag = ClassTag("L", 4)
+    want = list(enumerate_class(8, tag))
+    lists = _SWEEPS["suffixes", Convention.LAST, 4][1]
+    built = dict(lists)
+    assert list(enumerate_class(8, tag)) == want
+    assert lists.keys() == built.keys()
+    assert all(lists[state] is built[state] for state in built)
+    # Each stream is walked with no stored lists for its (convention, k),
+    # then again in a shuffled order, reading the lists that walks of other
+    # weights left.
+    calls = [(n, convention, k) for n in range(15) for convention in Convention
+             for k in (1, 2, 3, 4)]
+    cold = {}
+    for n, convention, k in calls:
+        _SWEEPS.pop(("suffixes", convention, k), None)
+        cold[n, convention, k] = list(_class_walk(n, convention, k))
+    random.Random(26).shuffle(calls)
+    for call in calls:
+        assert list(_class_walk(*call)) == cold[call], call

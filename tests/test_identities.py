@@ -86,6 +86,24 @@ def test_subtracted_partial_sum_forms_fail_where_analyzed():
     assert verify("I6", {"r": 2, "n": 1}, 20).passed  # degenerate case holds
 
 
+def test_subtracted_form_excess_is_enumerated():
+    # The subtracted partial at bound n over-counts exactly the overpartitions
+    # whose smallest repeating size is below n and whose largest is n or more.
+    trunc, first = 30, {}
+    for r in (1, 2, 3, 4, 7):
+        forms = (identities._partial_rep(form, r, trunc) for form in ("subtracted", "corrected"))
+        for n, subtracted, corrected in zip(range(1, 13), *forms):
+            excess = identities._brute_rep_filtered(
+                r, trunc, lambda big, small: 0 < small < n <= big)
+            assert subtracted - corrected == excess, (r, n)
+            first[r, n] = next((q for q, c in enumerate(excess.coeffs) if c), None)
+    # Not vacuous: the lightest excess repeats sizes 1 and n r + 1 times each
+    # (I6 at r = 1, n = 2 first fails at q^6); it is empty at n = 1.
+    for (r, n), q in first.items():
+        lightest = (r + 1) * (n + 1)
+        assert q == (lightest if n > 1 and lightest <= trunc else None), (r, n)
+
+
 def test_corrected_partial_sum_forms_pass():
     for r in (1, 2, 3):
         assert verify("I2", {"r": r, "form": "corrected"}, 24).passed
@@ -356,7 +374,7 @@ def test_reports_are_hashable():
 
 
 def default_grid(identity):
-    return IDENTITIES[identity].grid()
+    return [params for _, params, _ in catalog_instances(25, [identity])]
 
 
 def test_default_grids_cover_documented_ranges():

@@ -590,6 +590,15 @@ def test_bijection_preconditions():
         bl_bijection_to_distinct(O("1~"), 2, 2)   # wrong length residue
     with pytest.raises(ValueError):
         bf_bijection_to_distinct(O("2,1"), 2, 2)  # wrong convention/not basis
+    # the first argument must be the object it claims to be, not its text or parts
+    for to_distinct in (bl_bijection_to_distinct, bf_bijection_to_distinct):
+        for lam in ("1~", ((1, 1, True),), Partition((1,))):
+            with pytest.raises(ValueError, match="lam must be an Overpartition"):
+                to_distinct(lam, 2, 1)
+    for from_distinct in (bl_bijection_from_distinct, bf_bijection_from_distinct):
+        for nu in ((3, 1), [3, 1], O("3,1")):
+            with pytest.raises(ValueError, match="nu must be a Partition"):
+                from_distinct(nu, 2, 1)
 
 
 BIJECTIONS = {
