@@ -244,6 +244,13 @@ class Partition:
         return Partition(out)
 
 
+def _not_an_overpartition(name: str, value) -> ValueError:
+    """The error for an argument that has no attributes of an
+    ``Overpartition``: each caller reads one inside a ``try``, free when it
+    succeeds, and raises this from None."""
+    return ValueError(f"{name} must be an Overpartition, got {value!r}")
+
+
 def conjugate(pi: Overpartition) -> Overpartition:
     """Conjugate of a last-occurrence overpartition.
 
@@ -252,7 +259,11 @@ def conjugate(pi: Overpartition) -> Overpartition:
     ``|pi_last|``), and that size is overlined exactly when the part at
     position t is overlined.  Weight and overline count are preserved.
     """
-    if pi.convention is not Convention.LAST:
+    try:
+        convention = pi.convention
+    except AttributeError:
+        raise _not_an_overpartition("pi", pi) from None
+    if convention is not Convention.LAST:
         raise ValueError("conjugation requires the last-occurrence convention")
     written = pi.parts()
     ell = len(written)
@@ -271,8 +282,12 @@ def min_excludant_size(pi: Overpartition, r: int) -> int:
     """Smallest t >= 1 such that no part of ``pi`` has size in [t, t+r-1]."""
     if type(r) is not int or r < 1:  # bool is an int subclass
         raise ValueError(f"r must be an int >= 1, got {r!r}")
+    try:
+        entries = pi.entries
+    except AttributeError:
+        raise _not_an_overpartition("pi", pi) from None
     t = 1  # the least size not yet excluded
-    for size, _, _ in reversed(pi.entries):  # ascending sizes
+    for size, _, _ in reversed(entries):  # ascending sizes
         if size - t >= r:  # sizes t .. size-1 are absent
             return t
         t = size + 1
@@ -290,8 +305,12 @@ def max_excludant_size(pi: Overpartition, r: int) -> int:
     # Scan the gaps between adjacent sizes from the top, the last one
     # reaching down to 0: the first gap with r or more sizes absent holds
     # the answer, one below its upper size.  O(distinct sizes).
+    try:
+        entries = pi.entries
+    except AttributeError:
+        raise _not_an_overpartition("pi", pi) from None
     above = 0  # no gap above the largest size
-    for below, _, _ in pi.entries:
+    for below, _, _ in entries:
         if above - below > r:
             return above - 1
         above = below
@@ -302,7 +321,11 @@ def largest_repeating_size(pi: Overpartition, r: int) -> int:
     """Largest size occurring at least r+1 times; 0 counts by convention."""
     if type(r) is not int or r < 1:  # bool is an int subclass
         raise ValueError(f"r must be an int >= 1, got {r!r}")
-    for size, mult, _ in pi.entries:
+    try:
+        entries = pi.entries
+    except AttributeError:
+        raise _not_an_overpartition("pi", pi) from None
+    for size, mult, _ in entries:
         if mult >= r + 1:
             return size
     return 0
@@ -312,8 +335,12 @@ def smallest_positive_repeating_size(pi: Overpartition, r: int):
     """Least size occurring at least r+1 times, or None when there is none."""
     if type(r) is not int or r < 1:  # bool is an int subclass
         raise ValueError(f"r must be an int >= 1, got {r!r}")
+    try:
+        entries = pi.entries
+    except AttributeError:
+        raise _not_an_overpartition("pi", pi) from None
     best = None
-    for size, mult, _ in pi.entries:
+    for size, mult, _ in entries:
         if mult >= r + 1:
             best = size
     return best
@@ -325,6 +352,10 @@ def count_parts_above(pi: Overpartition, t: int, inclusive: bool = False) -> int
         raise ValueError(f"t must be an int, got {t!r}")
     if type(inclusive) is not bool:
         raise ValueError(f"inclusive must be a bool, got {inclusive!r}")
+    try:
+        entries = pi.entries
+    except AttributeError:
+        raise _not_an_overpartition("pi", pi) from None
     if inclusive:
-        return sum(m for s, m, _ in pi.entries if s >= t)
-    return sum(m for s, m, _ in pi.entries if s > t)
+        return sum(m for s, m, _ in entries if s >= t)
+    return sum(m for s, m, _ in entries if s > t)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import count, islice, zip_longest
 from math import comb, inf
+from operator import add
 
 from .core import (
     count_parts_above,
@@ -58,6 +59,7 @@ from .series import (
     _apply_z_factors,
     _binomial_ladder,
     _omega_factor,
+    _stride,
     gaussian_binomial,
     omega_product,
     one_plus_zq_product,
@@ -513,12 +515,13 @@ def _closed_class_gf(family: str, k: int, trunc: int) -> ZQPoly:
             e = _basis_exponent(k, m, s, j)
             if e > trunc:
                 break
-            if j not in rungs:  # at j's largest m: copy rungs a = j-1 .. m-1
-                rungs[j] = [list(r) for r in islice(_binomial_ladder(j - 1, k, trunc), m - j + 1)]
+            if j not in rungs:  # at j's largest m: copy rungs a = j-1 .. m-1, base q
+                rungs[j] = [list(r) for r in
+                            islice(_binomial_ladder(j - 1, trunc // k), m - j + 1)]
             z_rows = range(j - 1, j + 1 if family == "L" or s == k else j)
             rows.extend([0] * (trunc + 1) for _ in range(z_rows.stop - len(rows)))
-            for z in z_rows:  # [m-1 choose j-1] is rung m - j
-                rows[z][e:] = [x + y for x, y in zip(rows[z][e:], rungs[j][m - j])]
+            for z in z_rows:  # [m-1 choose j-1] is rung m - j, placed with stride k
+                rows[z][e::k] = map(add, rows[z][e::k], rungs[j][m - j])
         for row in rows:
             _apply_factors(row, [((parts, -1),)], divide=True)
     return ZQPoly._make(rows, trunc) + 1
@@ -533,11 +536,13 @@ def _closed_basis_poly(k: int, m: int, s: int, j: int, trunc: int, z_rows: range
 
 def _shifted_binomial_sum(k: int, j: int, trunc: int) -> QSeries:
     """sum over m >= j of q^(k(m-j)) [m-1 choose j-1] in the base q^k,
-    each binomial stepped from the one before it (rung a = m - 1)."""
-    total = [0] * (trunc + 1)
-    for shift, rung in zip(range(0, trunc + 1, k), _binomial_ladder(j - 1, k, trunc)):
+    each binomial stepped from the one before it (rung a = m - 1).  The sum
+    is taken in the base q to q^(trunc // k), then placed with stride k."""
+    n = trunc // k
+    total = [0] * (n + 1)
+    for shift, rung in zip(range(n + 1), _binomial_ladder(j - 1, n)):
         total[shift:] = [x + y for x, y in zip(total[shift:], rung)]
-    return QSeries._make(total, trunc)
+    return QSeries._make(_stride(total, k, trunc), trunc)
 
 
 def _closed_euler_lhs(trunc: int) -> ZQPoly:
@@ -961,9 +966,12 @@ def catalog_instances(trunc: int, identities=None, overrides=None) -> list:
     ``identities`` is a collection of ids, every id when empty or None; a
     bare string or an unknown id is a ValueError.  An override fixes that
     parameter in the grid of every entry that takes it, and the values that
-    depend on it follow it (``k`` = 2 gives I18 s = 1, 2); entries that do
-    not take it keep their grid, but an override that no selected entry
-    takes, or a value outside the parameter's domain, is an error.
+    depend on it follow it (``k`` = 2 gives I18 s = 1, 2); an ``s`` without
+    a ``k`` keeps the points with k >= s (``s`` = 2 gives I18 k = 2, 3).
+    Entries that do not take an override keep their grid, but an override
+    that no selected entry takes, or a value outside the parameter's
+    domain, is an error, and so is an ``s`` that no grid point of an entry
+    meets.
     """
     if isinstance(identities, str):
         raise ValueError(f"identities must be a collection of ids, not {identities!r}")
@@ -982,6 +990,10 @@ def catalog_instances(trunc: int, identities=None, overrides=None) -> list:
         for name, values in grid.items():
             points = [{**p, name: v} for p in points
                       for v in (values(p) if callable(values) else values)]
+        if "s" in grid and "s" in overrides and "k" not in overrides:
+            points = [p for p in points if p["s"] <= p["k"]]
+            if not points:
+                raise ValueError(f"{identity} has no grid point with k >= s = {overrides['s']}")
         instances += [(identity, p, min(trunc, entry.guard)) for p in points]
     return instances
 

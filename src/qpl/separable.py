@@ -19,7 +19,7 @@ from itertools import accumulate
 from math import inf
 from operator import itemgetter, lt
 
-from .core import Convention, Overpartition, Partition
+from .core import Convention, Overpartition, Partition, _not_an_overpartition
 from .enumeration import ClassTag, _basis_children, _basis_family, _swept
 from .series import ZQPoly, _check_ints
 
@@ -33,9 +33,13 @@ def _convention_mismatch(pi: Overpartition, convention: Convention, what: str):
 
 def is_member(pi: Overpartition, tag: ClassTag) -> bool:
     """Class membership via the counting reduction (O(distinct sizes))."""
+    try:
+        convention = pi.convention
+    except AttributeError:
+        raise _not_an_overpartition("pi", pi) from None
     if tag.family == "all":
         return True
-    if pi.convention is not tag.convention:
+    if convention is not tag.convention:
         raise _convention_mismatch(pi, tag.convention, f"{tag.family}_k membership")
     k = tag.k
     first = tag.family == "F"
@@ -84,7 +88,11 @@ def is_basis_element(lam: Overpartition, family: str, k: int) -> bool:
     to number a multiple of k.
     """
     tag, _ = _basis_family(family, k)
-    if lam.convention is not tag.convention:
+    try:
+        convention = lam.convention
+    except AttributeError:
+        raise _not_an_overpartition("lam", lam) from None
+    if convention is not tag.convention:
         raise _convention_mismatch(lam, tag.convention, f"{family} basis test")
     return _is_basis(lam, family, tag)
 
@@ -307,16 +315,20 @@ def toggle_extreme_overline(lam: Overpartition, family: str) -> Overpartition:
     An involution exchanging the basis subsets with and without that
     extreme overline; weight is unchanged and the overline count moves by 1.
     """
-    if not lam.entries:
+    try:
+        entries = lam.entries
+    except AttributeError:
+        raise _not_an_overpartition("lam", lam) from None
+    if not entries:
         raise ValueError("cannot toggle an empty overpartition")
     if family == "BL":
-        size, mult, over = lam.entries[-1]
+        size, mult, over = entries[-1]
         if size != 1:
             raise ValueError("smallest part must have size 1")
-        entries = lam.entries[:-1] + ((size, mult, not over),)
+        entries = entries[:-1] + ((size, mult, not over),)
     elif family == "BF":
-        size, mult, over = lam.entries[0]
-        entries = ((size, mult, not over),) + lam.entries[1:]
+        size, mult, over = entries[0]
+        entries = ((size, mult, not over),) + entries[1:]
     else:
         raise ValueError(f"unknown basis family {family!r}")
     return Overpartition._make(entries, lam.convention)

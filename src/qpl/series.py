@@ -281,7 +281,10 @@ def gaussian_binomial(a: int, b: int, k: int, trunc=None) -> QSeries:
 
     Zero unless a >= b >= 0; otherwise a polynomial with nonnegative
     coefficients of degree k*b*(a-b).  Computed at that exact degree by
-    default, or at the requested truncation (exact either way).
+    default, or at the requested truncation (exact either way).  The
+    binomial in the base q is computed to q^(trunc // k), then its
+    coefficient i is placed at q^(k i): only every k-th coefficient can be
+    nonzero, so k times fewer are stepped.
     """
     if trunc is None:
         trunc = k * b * (a - b) if a >= b >= 0 else 0
@@ -291,26 +294,39 @@ def gaussian_binomial(a: int, b: int, k: int, trunc=None) -> QSeries:
     if not a >= b >= 0:
         return QSeries.zero(trunc)
     b = min(b, a - b)  # the coefficient is symmetric in b and a - b
-    # (q^(k(a-b+1)); q^k)_b / (q^k; q^k)_b, one factor (1 - q^e), e <= trunc, at a time
-    out = [1] + [0] * trunc
-    _apply_factors(out, [((e, -1),) for e in range(k * (a - b + 1), trunc + 1, k)[:b]])
-    _apply_factors(out, [((e, -1),) for e in range(k, trunc + 1, k)[:b]], divide=True)
-    return QSeries._make(out, trunc)
+    # (q^(a-b+1); q)_b / (q; q)_b, one factor (1 - q^e), e <= trunc // k, at a time
+    n = trunc // k
+    out = [1] + [0] * n
+    _apply_factors(out, [((e, -1),) for e in range(a - b + 1, n + 1)[:b]])
+    _apply_factors(out, [((e, -1),) for e in range(1, n + 1)[:b]], divide=True)
+    return QSeries._make(_stride(out, k, trunc), trunc)
 
 
-def _binomial_ladder(b: int, k: int, trunc: int):
-    """Yield [a choose b] in the base q^k, truncated at q^trunc, for
+def _stride(coeffs: list, k: int, trunc: int) -> list:
+    """The series ``coeffs`` in q, truncated at q^(trunc // k), with q^k put
+    for q: coefficient i moves to q^(k i), truncated at q^trunc."""
+    if k == 1:
+        return coeffs
+    out = [0] * (trunc + 1)
+    out[::k] = coeffs
+    return out
+
+
+def _binomial_ladder(b: int, trunc: int):
+    """Yield [a choose b] in the base q, truncated at q^trunc, for
     a = b, b+1, ... as one coefficient list that the next step changes in
     place, so read each rung before asking for the next.  Each step is the
     product formula taken one factor further:
-    [a+1 choose b] = [a choose b] (1 - q^(k(a+1))) / (1 - q^(k(a+1-b)))."""
+    [a+1 choose b] = [a choose b] (1 - q^(a+1)) / (1 - q^(a+1-b)).
+    A ladder in the base q^k is this one at ``trunc // k``, each rung
+    placed with stride k."""
     out = [1] + [0] * trunc
     a = b
     while True:
         yield out
         a += 1
-        _apply_factors(out, [((k * a, -1),)])
-        _apply_factors(out, [((k * (a - b), -1),)], divide=True)
+        _apply_factors(out, [((a, -1),)])
+        _apply_factors(out, [((a - b, -1),)], divide=True)
 
 
 class ZQPoly:

@@ -166,6 +166,10 @@ def test_verify_grid_when_params_partial():
         (["--identity", "I18", "--k", "2"], ["k=2,s=1", "k=2,s=2"]),
         (["--identity", "I16", "--A", "3", "--k", "1"], [f"A=3,B={b},k=1" for b in range(4)]),
         (["--identity", "I13", "--m", "2", "--k", "1"], ["j=1,k=1,m=2,s=1", "j=2,k=1,m=2,s=1"]),
+        # s without k keeps the points with k >= s.
+        (["--identity", "I13", "--s", "2"], [f"j={j},k={k},m={m},s=2" for k in (2, 3)
+                                             for m in range(1, 8) for j in range(1, m + 1)]),
+        (["--identity", "I18", "--s", "3"], ["k=3,s=3"]),
     ):
         code, text = _run(["verify", *argv, "--trunc", "8", "--format", "tsv"])
         assert code == 0
@@ -174,6 +178,10 @@ def test_verify_grid_when_params_partial():
     code, text = _run(["verify", "--all", "--k", "1", "--trunc", "8", "--format", "tsv"])
     assert code == 1 and "error:" not in text
     assert {line.split("\t")[0] for line in text.splitlines()} == set(IDENTITIES)
+    code, text = _run(["verify", "--all", "--s", "2", "--trunc", "8", "--format", "tsv"])
+    assert code == 1 and "error:" not in text
+    assert {line.split("\t")[1] for line in text.splitlines() if line.startswith("I18")} == \
+        {"k=2,s=2", "k=3,s=2"}
 
 
 def test_verify_bound_far_above_the_truncation():
@@ -208,6 +216,8 @@ def test_verify_usage_errors():
     assert _run(["verify", "--identity", "I1", "--m", "3"])[0] == 2
     assert _run(["verify", "--identity", "I2", "--k", "1"])[0] == 2
     assert _run(["verify", "--identity", "I18", "--k", "0"])[0] == 2
+    assert _run(["verify", "--identity", "I13", "--k", "1", "--s", "2"])[0] == 2
+    assert _run(["verify", "--identity", "I13", "--s", "4"])[0] == 2  # no grid k >= 4
     assert _run(["verify", "--identity", "I13", "--m", "0"])[0] == 2
     assert _run(["verify", "--identity", "I99"])[0] == 2
     assert _run(["bogus"])[0] == 2

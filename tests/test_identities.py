@@ -567,7 +567,7 @@ def test_class_closed_sides_build_no_binomial_per_term(monkeypatch):
                 closed_form(identity, {"k": k}, trunc)
                 assert not binomial and not basis_poly, (identity, k, trunc)
                 assert ladder and set(ladder.values()) == {1}, (identity, k, trunc)
-                assert sorted(b for b, _, _ in ladder) == list(range(len(ladder)))
+                assert sorted(ladder) == [(b, trunc // k) for b in range(len(ladder))]
 
 
 def test_partial_sum_closed_sides_build_no_pochhammer_per_bound(monkeypatch):

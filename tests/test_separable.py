@@ -4,7 +4,17 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpl.core import Convention, Overpartition, Partition
+from qpl.core import (
+    Convention,
+    Overpartition,
+    Partition,
+    conjugate,
+    count_parts_above,
+    largest_repeating_size,
+    max_excludant_size,
+    min_excludant_size,
+    smallest_positive_repeating_size,
+)
 from qpl.enumeration import (
     ClassTag,
     _basis_family,
@@ -599,6 +609,29 @@ def test_bijection_preconditions():
         for nu in ((3, 1), [3, 1], O("3,1")):
             with pytest.raises(ValueError, match="nu must be a Partition"):
                 from_distinct(nu, 2, 1)
+
+
+FIRST_ARGUMENT_TAKERS = {
+    **{f"is_member {tag}": (lambda x, tag=tag: is_member(x, tag))
+       for tag in (ClassTag("all"), ClassTag("L", 2), ClassTag("F", 2))},
+    "is_basis_element": lambda x: is_basis_element(x, "BL", 2),
+    "decompose": lambda x: decompose(x, "BF", 2),
+    "toggle_extreme_overline": lambda x: toggle_extreme_overline(x, "BL"),
+    "conjugate": conjugate,
+    "min_excludant_size": lambda x: min_excludant_size(x, 2),
+    "max_excludant_size": lambda x: max_excludant_size(x, 1),
+    "largest_repeating_size": lambda x: largest_repeating_size(x, 1),
+    "smallest_positive_repeating_size": lambda x: smallest_positive_repeating_size(x, 1),
+    "count_parts_above": lambda x: count_parts_above(x, 1),
+}
+
+
+@pytest.mark.parametrize("bad", ("2,1", (2, 1)), ids=("text", "tuple"))
+@pytest.mark.parametrize("name", FIRST_ARGUMENT_TAKERS)
+def test_first_argument_must_be_an_overpartition(name, bad):
+    # Text or parts are refused as a bad argument, not met by AttributeError.
+    with pytest.raises(ValueError, match="must be an Overpartition"):
+        FIRST_ARGUMENT_TAKERS[name](bad)
 
 
 BIJECTIONS = {

@@ -275,15 +275,38 @@ def test_gaussian_binomial_recurrence():
                 assert lhs == rhs, (a, b, k)
 
 
+def _binomial_in_base_qk(a, b, k, n):
+    """[a choose b] in the base q^k with every factor (1 - q^(k i)) applied
+    at the full truncation: the oracle for the stride placement of
+    ``gaussian_binomial``."""
+    out = [1] + [0] * n
+    _apply_factors(out, [((k * i, -1),) for i in range(a - b + 1, a + 1)])
+    _apply_factors(out, [((k * i, -1),) for i in range(1, b + 1)], divide=True)
+    return QSeries(out, n)
+
+
+def test_gaussian_binomial_matches_full_truncation_factors():
+    # n < k and n off a multiple of k leave a short base-q list to place.
+    for k in (1, 2, 3, 4):
+        for n in (0, 1, 2, 3, 5, 7, 25, 40, 301):
+            for a in range(13):
+                for b in range(a + 1):
+                    assert gaussian_binomial(a, b, k, n) == _binomial_in_base_qk(a, b, k, n), \
+                        (a, b, k, n)
+
+
 def test_binomial_ladder_matches_gaussian_binomial():
-    """Every rung equals the from-scratch binomial, over I16's grid
-    (a <= 12, k <= 4) and I17's (b <= 5, k <= 3, a up to b + N/k)."""
+    """Every rung, placed with stride k, equals the binomial built alone,
+    over I16's grid (a <= 12, k <= 4) and I17's (b <= 5, k <= 3, a up to
+    b + N/k)."""
     n = 400
     for k, b, top in ([(k, b, 12) for k in (1, 2, 3, 4) for b in range(13)]
                       + [(k, b, b + n // k) for k in (1, 2, 3) for b in range(6)]):
-        ladder = _binomial_ladder(b, k, n)
+        ladder = _binomial_ladder(b, n // k)
         for a in range(b, top + 1):
-            assert tuple(next(ladder)) == gaussian_binomial(a, b, k, n).coeffs, (a, b, k)
+            placed = [0] * (n + 1)
+            placed[::k] = next(ladder)
+            assert tuple(placed) == gaussian_binomial(a, b, k, n).coeffs, (a, b, k)
 
 
 def test_gaussian_binomial_palindromic_nonnegative():
