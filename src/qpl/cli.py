@@ -25,6 +25,14 @@ DEFAULT_TRUNC = 25
 
 _INT_TEXT = re.compile("0|-?[1-9][0-9]*")
 
+# The statistics that read a chain length r; ``conjugate`` reads none.
+_STATS = {
+    "mes": min_excludant_size,
+    "maes": max_excludant_size,
+    "lrs": largest_repeating_size,
+    "sprs": smallest_positive_repeating_size,
+}
+
 
 class UsageError(Exception):
     pass
@@ -76,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stat", help="statistics of one overpartition")
     p.add_argument("--parts", required=True, help="canonical overpartition text")
     p.add_argument("--stat", required=True,
-                   choices=("mes", "maes", "conjugate", "lrs", "sprs"))
+                   choices=(*_STATS, "conjugate"))
     p.add_argument("--r", type=_int_arg, default=None, help="chain length (default 1)")
     p.add_argument("--convention", choices=("last", "first"), default="last")
 
@@ -92,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="statistic table over all overpartitions of n")
     p.add_argument("--stat", required=True,
-                   choices=("mes", "maes", "conjugate", "lrs", "sprs"))
+                   choices=(*_STATS, "conjugate"))
     p.add_argument("--r", type=_int_arg, default=None, help="chain length (default 1)")
     p.add_argument("--n", type=_int_arg, required=True)
     return parser
@@ -163,8 +171,6 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_enum(args, out) -> int:
-    if args.n < 0:
-        raise UsageError("--n must be >= 0")
     if args.family == "all":
         if args.k is not None:
             raise UsageError("--k needs class L or F")
@@ -192,16 +198,7 @@ def _stat_value(pi: Overpartition, stat: str, r) -> str:
         if r is not None:
             raise UsageError("--r does not apply to --stat conjugate")
         return conjugate(pi).text()
-    r = 1 if r is None else r
-    if r < 1:
-        raise UsageError("--r must be >= 1")
-    if stat == "mes":
-        return str(min_excludant_size(pi, r))
-    if stat == "maes":
-        return str(max_excludant_size(pi, r))
-    if stat == "lrs":
-        return str(largest_repeating_size(pi, r))
-    value = smallest_positive_repeating_size(pi, r)
+    value = _STATS[stat](pi, 1 if r is None else r)
     return "none" if value is None else str(value)
 
 
@@ -212,29 +209,20 @@ def _cmd_stat(args, out) -> int:
 
 
 def _cmd_basis(args, out) -> int:
-    if args.k < 1 or args.m < 1:
-        raise UsageError("--k and --m must be >= 1")
     for lam in basis_elements(args.family, args.k, args.m):
         print(lam.text(), file=out)
     return 0
 
 
 def _cmd_decompose(args, out) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
     pi = _parse_overpartition(args.parts, _basis_family(args.family, args.k)[0].convention.value)
-    try:
-        witness = decompose(pi, args.family, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    witness = decompose(pi, args.family, args.k)
     print(witness.basis.text(), file=out)
     print(",".join(str(x) for x in witness.padding), file=out)
     return 0
 
 
 def _cmd_table(args, out) -> int:
-    if args.n < 0:
-        raise UsageError("--n must be >= 0")
     for pi in overpartitions_of(args.n, Convention.LAST):
         print(f"{pi.text()}\t{_stat_value(pi, args.stat, args.r)}", file=out)
     return 0

@@ -898,16 +898,19 @@ def _entry(identity: str) -> Identity:
         raise ValueError(f"unknown identity {identity!r}") from None
 
 
+def _check_trunc(trunc) -> int:
+    """``trunc`` if it is a nonnegative int; a ValueError otherwise."""
+    if type(trunc) is not int or trunc < 0:  # bool is an int subclass
+        raise ValueError(f"truncation must be a nonnegative integer (got {trunc!r})")
+    return trunc
+
+
 def _resolve(identity: str, params, trunc: int):
     """The normalized parameters and the lazy equations of one instance,
     once the truncation has passed the entry's guard."""
     entry = _entry(identity)
     params = entry.normalize(params)
-    if type(trunc) is not int:  # bool is an int subclass
-        raise ValueError(f"truncation must be an integer (got {trunc!r})")
-    if trunc < 0:
-        raise ValueError("truncation must be >= 0")
-    if trunc > entry.guard:
+    if _check_trunc(trunc) > entry.guard:
         raise ValueError(
             f"{entry.id} is limited to truncation {entry.guard} (got {trunc})"
         )
@@ -964,15 +967,17 @@ def catalog_instances(trunc: int, identities=None, overrides=None) -> list:
     catalog order, with the truncation capped at each entry's guard.
 
     ``identities`` is a collection of ids, every id when empty or None; a
-    bare string or an unknown id is a ValueError.  An override fixes that
-    parameter in the grid of every entry that takes it, and the values that
-    depend on it follow it (``k`` = 2 gives I18 s = 1, 2); an ``s`` without
-    a ``k`` keeps the points with k >= s (``s`` = 2 gives I18 k = 2, 3).
-    Entries that do not take an override keep their grid, but an override
-    that no selected entry takes, or a value outside the parameter's
-    domain, is an error, and so is an ``s`` that no grid point of an entry
-    meets.
+    bare string or an unknown id is a ValueError, and so is a truncation
+    that is not a nonnegative int.  An override of a parameter with a fixed
+    range replaces that range, and the ranges that depend on it follow it
+    (``k`` = 2 gives I18 s = 1, 2).  An override of a parameter whose range
+    depends on the point keeps the points whose range holds it (``s`` = 2
+    gives I18 k = 2, 3; ``j`` = 5 gives I13 m = 5..7; ``B`` = 5 gives I16
+    A = 5..12).  Entries that do not take an override keep their grid, but
+    an override that no selected entry takes, a value outside the
+    parameter's domain, or an entry left with no grid point is an error.
     """
+    _check_trunc(trunc)
     if isinstance(identities, str):
         raise ValueError(f"identities must be a collection of ids, not {identities!r}")
     identities = tuple(identities or IDENTITY_IDS)
@@ -984,16 +989,19 @@ def catalog_instances(trunc: int, identities=None, overrides=None) -> list:
         _check_param(name, value)  # before a range is built from it
     instances = []
     for identity, entry in zip(identities, entries):
-        grid = dict(entry.grid)  # an override keeps its parameter's place
-        grid.update((n, (v,)) for n, v in overrides.items() if n in entry.param_names)
+        fixed = {n: v for n, v in overrides.items() if n in entry.param_names}
         points = [{}]
-        for name, values in grid.items():
-            points = [{**p, name: v} for p in points
-                      for v in (values(p) if callable(values) else values)]
-        if "s" in grid and "s" in overrides and "k" not in overrides:
-            points = [p for p in points if p["s"] <= p["k"]]
-            if not points:
-                raise ValueError(f"{identity} has no grid point with k >= s = {overrides['s']}")
+        for name in {**entry.grid, **fixed}:  # an override keeps its parameter's place
+            values = entry.grid.get(name, ())
+            if name in fixed:
+                v = fixed[name]
+                points = [{**p, name: v} for p in points if not callable(values) or v in values(p)]
+            else:
+                points = [{**p, name: v} for p in points
+                          for v in (values(p) if callable(values) else values)]
+        if not points:
+            where = ", ".join(f"{n} = {v}" for n, v in fixed.items())
+            raise ValueError(f"{identity} has no grid point with {where}")
         instances += [(identity, p, min(trunc, entry.guard)) for p in points]
     return instances
 

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import time
 from pathlib import Path
 
@@ -170,6 +171,11 @@ def test_verify_grid_when_params_partial():
         (["--identity", "I13", "--s", "2"], [f"j={j},k={k},m={m},s=2" for k in (2, 3)
                                              for m in range(1, 8) for j in range(1, m + 1)]),
         (["--identity", "I18", "--s", "3"], ["k=3,s=3"]),
+        # j and B keep the points whose own range holds them.
+        (["--identity", "I13", "--j", "5"], [f"j=5,k={k},m={m},s={s}" for k in (1, 2, 3)
+                                             for m in (5, 6, 7) for s in range(1, k + 1)]),
+        (["--identity", "I16", "--B", "5"], [f"A={a},B=5,k={k}" for k in range(1, 5)
+                                             for a in range(5, 13)]),
     ):
         code, text = _run(["verify", *argv, "--trunc", "8", "--format", "tsv"])
         assert code == 0
@@ -218,6 +224,8 @@ def test_verify_usage_errors():
     assert _run(["verify", "--identity", "I18", "--k", "0"])[0] == 2
     assert _run(["verify", "--identity", "I13", "--k", "1", "--s", "2"])[0] == 2
     assert _run(["verify", "--identity", "I13", "--s", "4"])[0] == 2  # no grid k >= 4
+    assert _run(["verify", "--identity", "I13", "--j", "8"])[0] == 2  # no grid m >= 8
+    assert _run(["verify", "--identity", "I16", "--B", "13"])[0] == 2  # no grid A >= 13
     assert _run(["verify", "--identity", "I13", "--m", "0"])[0] == 2
     assert _run(["verify", "--identity", "I99"])[0] == 2
     assert _run(["bogus"])[0] == 2
@@ -289,6 +297,33 @@ def test_catalog_instances_match_the_recorded_catalog():
     assert catalog_instances(25, ("I13",), {"m": 2, "k": 1}) == \
         [("I13", {"k": 1, "m": 2, "s": 1, "j": j}, 25) for j in (1, 2)]
     assert all(p["k"] == 1 for _, p, _ in catalog_instances(8, overrides={"k": 1}) if "k" in p)
+    # an override of a range that depends on the point keeps the points that hold it
+    assert catalog_instances(25, ("I13",), {"j": 5}) == \
+        [("I13", {"k": k, "m": m, "s": s, "j": 5}, 25)
+         for k in (1, 2, 3) for m in (5, 6, 7) for s in range(1, k + 1)]
+    assert catalog_instances(25, ("I16",), {"B": 5}) == \
+        [("I16", {"k": k, "A": a, "B": 5}, 25) for k in range(1, 5) for a in range(5, 13)]
+    for ident, override in (("I13", {"j": 8}), ("I16", {"B": 13}), ("I13", {"k": 1, "s": 2})):
+        with pytest.raises(ValueError, match="no grid point"):
+            catalog_instances(25, (ident,), override)
+
+
+@pytest.mark.parametrize("argv, name", (
+    (["enum", "--n", "-1"], "n"),
+    (["table", "--n", "-1", "--stat", "mes"], "n"),
+    (["basis", "--family", "BL", "--k", "0", "--m", "2"], "k"),
+    (["decompose", "--parts", "2,1", "--family", "BL", "--k", "0"], "k"),
+    (["stat", "--parts", "2,1", "--stat", "mes", "--r", "0"], "r"),
+    (["table", "--n", "2", "--stat", "lrs", "--r", "0"], "r"),
+))
+def test_library_range_checks_are_usage_errors(argv, name, capsys):
+    # The library refuses the value; the CLI prints its message as one
+    # error line, and nothing reaches stdout before it.
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert re.search(rf"\b{name}\b", captured.err)
 
 
 def test_verify_all_json_is_the_recorded_catalog():

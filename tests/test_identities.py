@@ -268,6 +268,15 @@ def test_truncation_guards():
         verify("I1", {}, 25.0)
 
 
+@pytest.mark.parametrize("trunc", ("25", 2.5, -3, True, None))
+@pytest.mark.parametrize("run", (catalog_instances, verify_all))
+def test_bad_truncations_are_refused_before_the_grid(run, trunc):
+    # One truncation check for a single instance and for the grid: a text,
+    # a float, a negative value, a bool or None is not capped or compared.
+    with pytest.raises(ValueError, match="truncation"):
+        run(trunc, ["I1"])
+
+
 def test_all_zero_equations_in_the_catalog():
     # At truncation 25 some I13 and I14 equations compare sides that are all
     # zero: every basis element they count weighs more than 25, so they pass
