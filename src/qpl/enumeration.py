@@ -262,7 +262,7 @@ def overpartitions_of(n: int, convention: Convention = Convention.LAST):
     """All overpartitions of n, ordered lexicographically by canonical text.
 
     The stream of :func:`iter_overpartitions`, which walks in that order."""
-    yield from iter_overpartitions(n, convention)
+    return iter_overpartitions(n, convention)
 
 
 def enumerate_class(n: int, tag: ClassTag):

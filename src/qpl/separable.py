@@ -42,6 +42,8 @@ def is_member(pi: Overpartition, tag: ClassTag) -> bool:
     if convention is not tag.convention:
         raise _convention_mismatch(pi, tag.convention, f"{tag.family}_k membership")
     k = tag.k
+    if k == 1:  # every count is a multiple of 1
+        return True
     first = tag.family == "F"
     below = 0
     for _, mult, overlined in reversed(pi.entries):
@@ -124,17 +126,22 @@ class DecompositionWitness:
             raise ValueError(f"padding entries must be ints, got {padding!r}")
         _set_padding(self, padding)
 
-    @classmethod
-    def _make(cls, basis, padding):
-        """Internal fast constructor; ``padding`` is a tuple of ints."""
-        self = object.__new__(cls)
-        _set_basis(self, basis)
-        _set_padding(self, padding)
-        return self
 
-
-_set_basis = DecompositionWitness.__dict__["basis"].__set__
 _set_padding = DecompositionWitness.__dict__["padding"].__set__
+
+
+def _make_witness(basis, padding, new=object.__new__, cls=DecompositionWitness,
+                  set_basis=DecompositionWitness.__dict__["basis"].__set__,
+                  set_padding=_set_padding):
+    """Internal fast constructor, one frame as ``core._make_overpartition``;
+    ``padding`` is a tuple of ints."""
+    self = new(cls)
+    set_basis(self, basis)
+    set_padding(self, padding)
+    return self
+
+
+DecompositionWitness._make = staticmethod(_make_witness)
 
 
 def compose(witness: DecompositionWitness) -> Overpartition:
@@ -142,15 +149,24 @@ def compose(witness: DecompositionWitness) -> Overpartition:
 
     Works block by block, never on written parts: the padding under one
     basis block splits into runs of equal values, each run a block of the
-    sum, and the basis block's overline goes on its first run (FIRST) or
-    its last (LAST).  A canonical basis gives strictly decreasing sizes; a
-    basis built past validation may repeat or raise one, and is merged or
-    refused as :meth:`Overpartition.from_written` would.  A short padding
-    is filled with zeros, and its order is checked in one pass over
-    adjacent entries.
+    sum, and the basis block's overline goes on the run that holds the
+    block's first position (FIRST) or its last (LAST).  A canonical basis
+    gives strictly decreasing sizes; a basis built past validation may
+    repeat or raise one, and is merged or refused as
+    :meth:`Overpartition.from_written` would.  A short padding is filled
+    with zeros, and its order is checked in one pass over adjacent entries.
     """
     lam = witness.basis
-    mu = witness.padding
+    return Overpartition._make(_composed_entries(lam, witness.padding), lam.convention)
+
+
+def _composed_entries(lam: Overpartition, mu: tuple) -> tuple:
+    """The entries of :func:`compose`'s sum, for callers that compare them.
+
+    The padding is non-increasing, so each run of equal values is
+    contiguous and ends at ``mu.index(pad) + mu.count(pad)``.  A block
+    whose first and last padding agree is one run, the common case, and
+    needs no search."""
     entries = lam.entries
     short = sum(map(_multiplicity, entries)) - len(mu)
     if short < 0:
@@ -161,46 +177,34 @@ def compose(witness: DecompositionWitness) -> Overpartition:
         raise ValueError("padding must be non-increasing")
     if mu and mu[-1] < 0:  # the least entry of a non-increasing padding
         raise ValueError("padding must be nonnegative")
+    first = lam.convention is Convention.FIRST
     out = []
     append = out.append
     prev = inf  # the size of the last block of the sum
     end = 0
     for size, mult, over in entries:
         start, end = end, end + mult
-        pad = mu[start]
-        if pad == mu[end - 1]:  # one run, the common case
+        mark = start if first else end - 1  # the position the overline marks
+        at = start
+        while at < end:
+            pad = mu[at]
+            stop = end if pad == mu[end - 1] else mu.index(pad) + mu.count(pad)
             part = size + pad
+            run_over = over and at <= mark < stop
             if part < prev:
-                append((part, mult, over))
-                prev = part
-                continue
-            runs = ((part, mult, over),)
-        else:
-            block = mu[start:end]
-            runs = []
-            at = 0
-            while at < mult:
-                count = block.count(block[at])  # equal values sit together
-                runs.append((size + block[at], count, False))
-                at += count
-            if over:
-                i = 0 if lam.convention is Convention.FIRST else -1
-                runs[i] = runs[i][:2] + (True,)
-        for run in runs:
-            part = run[0]
-            if part < prev:
-                append(run)
+                append((part, stop - at, run_over))
                 prev = part
             elif part == prev:
                 _, above_mult, above_over = out[-1]
-                if above_over and run[2]:
+                if above_over and run_over:
                     raise ValueError(f"size {part} overlined twice")
-                out[-1] = (part, above_mult + run[1], above_over or run[2])
+                out[-1] = (part, above_mult + stop - at, above_over or run_over)
             else:
                 raise ValueError("part sizes must be non-increasing")
+            at = stop
     if out and prev <= 0:
         raise ValueError(f"part size must be positive, got {prev}")
-    return Overpartition._make(tuple(out), lam.convention)
+    return tuple(out)
 
 
 def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
@@ -238,17 +242,19 @@ def decompose(pi: Overpartition, family: str, k: int) -> DecompositionWitness:
         below_over = over
     blocks.reverse()
     padding.reverse()
-    witness = DecompositionWitness._make(
-        Overpartition._make(tuple(blocks), tag.convention), tuple(padding))
-    try:  # compose rejects a negative or increasing padding
-        ok = _is_basis(witness.basis, family, tag) and compose(witness) == pi
+    basis = Overpartition._make(tuple(blocks), tag.convention)
+    padding = tuple(padding)
+    try:  # the sum rejects a negative or increasing padding
+        # membership fixed pi's convention to the basis's, so the entries
+        # decide compose(witness) == pi
+        ok = _is_basis(basis, family, tag) and _composed_entries(basis, padding) == pi.entries
     except ValueError:
         ok = False
     if not ok:
         raise AssertionError(
             f"decomposition of {pi.text()!r} failed verification"
         )
-    return witness
+    return DecompositionWitness._make(basis, padding)
 
 
 def _basis_histograms(family: str, k: int, trunc, parts: int) -> tuple:

@@ -97,6 +97,14 @@ def test_enumerators_reject_non_int_arguments(bad):
     assert len(basis_elements("BL", 1, 2)) == 4
 
 
+def test_overpartitions_of_refuses_bad_arguments():
+    for call in (lambda: list(overpartitions_of(-1)),
+                 lambda: list(overpartitions_of(2.5)),
+                 lambda: list(overpartitions_of(3, "bogus"))):
+        with pytest.raises(ValueError):
+            call()
+
+
 BL25 = {"1,1,1,1,1", "2~,1,1,1,1", "2,2,2~,1,1", "3~,2,2~,1,1",
         "1,1,1,1,1~", "2~,1,1,1,1~", "2,2,2~,1,1~", "3~,2,2~,1,1~"}
 BF25 = {"1,1,1,1,1", "2,1~,1,1,1", "2,2,2,1~,1", "3,2~,2,1~,1"}

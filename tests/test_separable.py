@@ -65,6 +65,15 @@ def test_membership_convention_mismatch():
         is_member(O("2,1", "first"), ClassTag("L", 2))
     with pytest.raises(ValueError):
         is_member(O("2,1"), ClassTag("F", 2))
+    # k = 1 admits every overline, but not the other convention
+    with pytest.raises(ValueError):
+        is_member(O("2,1", "first"), ClassTag("L", 1))
+    with pytest.raises(ValueError):
+        is_member(O("2~,1"), ClassTag("F", 1))
+    with pytest.raises(ValueError):
+        decompose(O("2,1", "first"), "BL", 1)
+    with pytest.raises(ValueError):
+        decompose(O("2,1"), "BF", 1)
 
 
 def test_basis_membership_examples():
@@ -107,6 +116,14 @@ def test_compose_examples():
     assert compose(DecompositionWitness(O("2,1"), (1,))) == O("3,1")
     assert compose(DecompositionWitness(O("3,3~,1"), (2,))) == O("5,3~,1")
     assert compose(DecompositionWitness(O("2,2~,1"), ())) == O("2,2~,1")
+    # a block whose padding has several runs: each run is a block of the
+    # sum, and the overline goes on the run at the block's last (LAST) or
+    # first (FIRST) position
+    assert compose(DecompositionWitness(O("1,1,1~"), (2, 1, 0))) == O("3,2,1~")
+    assert compose(DecompositionWitness(O("1~,1,1", "first"), (2, 1, 0))) == O("3~,2,1", "first")
+    assert compose(DecompositionWitness(O("2,2,2~,1,1"), (3, 2, 2, 1, 0))) == O("5,4,4~,2,1")
+    assert (compose(DecompositionWitness(O("2~,2,2,1,1", "first"), (3, 2, 2, 1, 0)))
+            == O("5~,4,4,2,1", "first"))
 
 
 def test_compose_errors():
