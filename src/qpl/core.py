@@ -21,6 +21,39 @@ class Convention(str, Enum):
     FIRST = "first"
 
 
+class _Record:
+    """Base of the immutable records.  A subclass names its constructor
+    arguments in ``_fields``, lists them and any value derived from them in
+    ``__slots__``, and sets every slot in ``__init__`` with
+    ``object.__setattr__``, one call per field: a shared loop costs twice as
+    much per record.  Equality, hash and repr read ``_fields``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), self._values()
+
+
 class Overpartition:
     """Immutable overpartition.
 

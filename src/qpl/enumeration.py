@@ -33,32 +33,31 @@ an overline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .core import Convention, Overpartition, Partition
+from .core import Convention, Overpartition, Partition, _Record
 from .series import _check_ints
 
 
-@dataclass(frozen=True)
-class ClassTag:
+class ClassTag(_Record):
     """Membership parameters: all overpartitions, or one of the two
-    overline-position classes with modulus k."""
+    overline-position classes with modulus k.  ``convention`` is the one
+    the family's positions are read in."""
 
-    family: str  # "all", "L" or "F"
-    k: int = 0
+    _fields = ("family", "k")  # family: "all", "L" or "F"
+    __slots__ = (*_fields, "convention")
 
-    def __post_init__(self):
-        if self.family not in ("all", "L", "F"):
-            raise ValueError(f"unknown class family {self.family!r}")
-        if type(self.k) is not int:
-            raise ValueError(f"k must be an int, got {self.k!r}")
-        if self.family != "all" and self.k < 1:
+    def __init__(self, family: str, k: int = 0):
+        if family not in ("all", "L", "F"):
+            raise ValueError(f"unknown class family {family!r}")
+        if type(k) is not int:
+            raise ValueError(f"k must be an int, got {k!r}")
+        if family != "all" and k < 1:
             raise ValueError("k must be >= 1")
-
-    @cached_property
-    def convention(self) -> Convention:
-        return Convention.FIRST if self.family == "F" else Convention.LAST
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "convention",
+                           Convention.FIRST if family == "F" else Convention.LAST)
 
 
 def _profiles(n: int, max_size: int):

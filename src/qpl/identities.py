@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import count, islice, zip_longest
 from math import comb, inf
 from operator import add
 
 from .core import (
+    _Record,
     count_parts_above,
     largest_repeating_size,
     max_excludant_size,
@@ -94,28 +94,32 @@ IDENTITY_IDS = tuple(f"I{i}" for i in range(1, 20))
 # reports
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    q: int
-    z: int | None
-    lhs: int
-    rhs: int
+class Mismatch(_Record):
+    """One coefficient where two sides differ: of q^q, and of z^z where the
+    sides are z-marked (``z`` is None otherwise)."""
+
+    __slots__ = _fields = ("q", "z", "lhs", "rhs")
+
+    def __init__(self, q: int, z: int | None, lhs: int, rhs: int):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """One verified instance.  ``params`` is frozen to its sorted
     ``(name, value)`` pairs, so a report is hashable; ``to_dict`` gives the
-    mapping back."""
+    mapping back.  ``status`` is "pass" or "fail"."""
 
-    identity: str
-    params: tuple
-    trunc: int
-    status: str  # "pass" | "fail"
-    mismatches: tuple
+    __slots__ = _fields = ("identity", "params", "trunc", "status", "mismatches")
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(sorted(dict(self.params).items())))
+    def __init__(self, identity: str, params, trunc: int, status: str, mismatches: tuple):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "params", tuple(sorted(dict(params).items())))
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def passed(self) -> bool:
@@ -572,11 +576,16 @@ def _closed_distinct_gf(k: int, s: int, trunc: int) -> ZQPoly:
 # enumeration side.  A value that several sides read is built once.
 
 
-@dataclass(frozen=True)
-class Side:
-    label: str
-    kind: str  # "closed" | "brute"
-    build: object  # zero-argument callable that computes the side
+class Side(_Record):
+    """One side of an equation: its label, its kind ("closed" or "brute")
+    and ``build``, a zero-argument callable that computes it."""
+
+    __slots__ = _fields = ("label", "kind", "build")
+
+    def __init__(self, label: str, kind: str, build):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "build", build)
 
     def evaluate(self):
         return self.build()
@@ -822,24 +831,28 @@ def _check_param(name: str, value, domain=None):
     return value
 
 
-@dataclass(frozen=True)
-class Identity:
-    id: str
-    builder: object
-    # The default grid: each parameter and its values, in loop order.  A
-    # range that depends on an earlier parameter is a function of the point
-    # built so far.
-    grid: dict
-    defaults: dict
-    # I1-I12, I18 and I19 stop at BRUTE_TRUNC_GUARD: they walk profiles, or
-    # every basis element with no length cap (17,392 nodes for BL k=1 at
-    # weight 40, 203,964 at weight 60).  I13 and I14 cap their walk by part
-    # count and I15-I17 are series only, so they get SERIES_TRUNC_GUARD.
-    guard: int
+class Identity(_Record):
+    """A catalog entry.  ``grid`` is the default grid: each parameter and
+    its values, in loop order; a range that depends on an earlier parameter
+    is a function of the point built so far.  ``param_names`` is every
+    parameter the grid or the defaults name, in that order.
 
-    @cached_property
-    def param_names(self) -> tuple:
-        return tuple(dict.fromkeys([*self.grid, *self.defaults]))
+    I1-I12, I18 and I19 stop at BRUTE_TRUNC_GUARD: they walk profiles, or
+    every basis element with no length cap (17,392 nodes for BL k=1 at
+    weight 40, 203,964 at weight 60).  I13 and I14 cap their walk by part
+    count and I15-I17 are series only, so they get SERIES_TRUNC_GUARD.
+    """
+
+    _fields = ("id", "builder", "grid", "defaults", "guard")
+    __slots__ = (*_fields, "param_names")
+
+    def __init__(self, id: str, builder, grid: dict, defaults: dict, guard: int):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "builder", builder)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "defaults", defaults)
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "param_names", tuple(dict.fromkeys([*grid, *defaults])))
 
     def normalize(self, params) -> dict:
         params, names = dict(params or {}), self.param_names

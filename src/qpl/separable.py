@@ -14,12 +14,11 @@ has the number of parts of size <= t divisible by k.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import accumulate
 from math import inf
 from operator import itemgetter, lt
 
-from .core import Convention, Overpartition, Partition, _not_an_overpartition
+from .core import Convention, Overpartition, Partition, _not_an_overpartition, _Record
 from .enumeration import ClassTag, _basis_children, _basis_family, _swept
 from .series import ZQPoly, _check_ints
 
@@ -110,29 +109,25 @@ def _is_basis(lam: Overpartition, family: str, tag: ClassTag) -> bool:
     return all(map(_overlined, entries[:-1] if family == "BL" else entries[1:]))
 
 
-@dataclass(frozen=True, slots=True)
-class DecompositionWitness:
+class DecompositionWitness(_Record):
     """A basis element plus a non-increasing nonnegative padding of the same
     length; adding them partwise (overlines carried) recovers the member."""
 
-    basis: Overpartition
-    padding: tuple
+    __slots__ = _fields = ("basis", "padding")
 
-    def __post_init__(self):
-        if not isinstance(self.basis, Overpartition):
-            raise ValueError(f"basis must be an Overpartition, got {self.basis!r}")
-        padding = tuple(self.padding)
+    def __init__(self, basis: Overpartition, padding: tuple):
+        if not isinstance(basis, Overpartition):
+            raise ValueError(f"basis must be an Overpartition, got {basis!r}")
+        padding = tuple(padding)
         if not set(map(type, padding)) <= {int}:
             raise ValueError(f"padding entries must be ints, got {padding!r}")
-        _set_padding(self, padding)
-
-
-_set_padding = DecompositionWitness.__dict__["padding"].__set__
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "padding", padding)
 
 
 def _make_witness(basis, padding, new=object.__new__, cls=DecompositionWitness,
                   set_basis=DecompositionWitness.__dict__["basis"].__set__,
-                  set_padding=_set_padding):
+                  set_padding=DecompositionWitness.__dict__["padding"].__set__):
     """Internal fast constructor, one frame as ``core._make_overpartition``;
     ``padding`` is a tuple of ints."""
     self = new(cls)

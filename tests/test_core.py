@@ -1,6 +1,13 @@
+import copy
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qpl
 from qpl.core import (
     Convention,
     Overpartition,
@@ -12,7 +19,9 @@ from qpl.core import (
     min_excludant_size,
     smallest_positive_repeating_size,
 )
-from qpl.enumeration import iter_overpartitions
+from qpl.enumeration import ClassTag, iter_overpartitions
+from qpl.identities import IDENTITIES, Mismatch, VerificationReport
+from qpl.separable import DecompositionWitness
 
 O = Overpartition.parse
 
@@ -260,6 +269,53 @@ def test_values_are_immutable():
         pi.entries = ()
     with pytest.raises(AttributeError):
         Partition((2, 1)).parts = ()
+
+
+def test_records_are_immutable_values():
+    mismatch = Mismatch(6, None, 32, 36)
+    witness = DecompositionWitness(O("1,1"), (1, 0))
+    report = VerificationReport("I2", {"r": 1, "form": "subtracted"}, 8, "fail", (mismatch,))
+    twins = [
+        (ClassTag("L", 2), ClassTag(family="L", k=2)),
+        (mismatch, Mismatch(q=6, z=None, lhs=32, rhs=36)),
+        (report, VerificationReport("I2", [("form", "subtracted"), ("r", 1)], 8, "fail",
+                                    (Mismatch(6, None, 32, 36),))),
+        (witness, DecompositionWitness(O("1,1"), [1, 0])),
+    ]
+    for a, b in twins:
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a.__eq__(object()) is NotImplemented
+        assert copy.copy(a) == a and not hasattr(a, "__dict__")
+        for name in (*a.__slots__, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+    for a in (ClassTag("F", 3), report):
+        assert pickle.loads(pickle.dumps(a)) == a
+    assert ClassTag("L", 2) != ClassTag("F", 2)
+    assert repr(ClassTag("L", 2)) == "ClassTag(family='L', k=2)"
+    assert repr(mismatch) == "Mismatch(q=6, z=None, lhs=32, rhs=36)"
+    assert repr(witness) == (
+        "DecompositionWitness(basis=Overpartition.parse('1,1', 'last'), padding=(1, 0))"
+    )
+    assert ClassTag("F", 3).convention is Convention.FIRST
+    assert ClassTag("all").convention is ClassTag("L", 1).convention is Convention.LAST
+    assert {entry.id: entry.param_names for entry in IDENTITIES.values()} == {
+        "I1": (), "I2": ("r", "form"), "I3": ("r", "w_reading"), "I4": ("form",),
+        "I5": ("r",), "I6": ("r", "n", "form"), "I7": ("r",), "I8": ("r",),
+        "I9": ("r", "m"), "I10": ("r",), "I11": ("k",), "I12": ("k",),
+        "I13": ("k", "m", "s", "j"), "I14": ("k", "m", "s", "j"), "I15": (),
+        "I16": ("k", "A", "B"), "I17": ("k", "j"), "I18": ("k", "s"), "I19": ("k", "s"),
+    }
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site .pth files, which may import either, out of the process.
+    src = Path(qpl.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qpl; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_constructors_reject_non_int_sizes_and_non_bool_flags():
