@@ -18,6 +18,8 @@ z-marked factor 1 + sum(c z^a q^e), goes through one in-place primitive:
 
 from __future__ import annotations
 
+from operator import add
+
 
 def _check_ints(**values):
     """Reject non-int arguments (floats, bools, ...) and a negative trunc or
@@ -55,27 +57,50 @@ def _apply_factors(coeffs, factors, divide=False):
                     coeffs[m + e] += c * b
 
 
+def _lowest(row, n):
+    """Index of the first nonzero entry of ``row``; n + 1 for a zero row."""
+    first = next(filter(None, row), 0)
+    return row.index(first) if first else n + 1
+
+
 def _apply_z_factors(rows, factors, divide=False):
     """Multiply the z-rows ``rows`` (``rows[a]``: the truncated series at
     z^a) in place by each sparse factor 1 + sum(c z^a q^e), given as
     (a, e, c) triples, every a >= 1; or divide them by each, every e >= 1.
     A product reads rows from the top z-degree down and a quotient from
-    the bottom up, so each row read is final; rows are appended as terms
-    reach them, so a quotient runs until its rows vanish below q^(N+1)."""
+    the bottom up, so each row read is final.  ``lows[z]`` bounds the
+    index of row z's lowest nonzero term from below (N + 1 for a zero
+    row), and every update starts there: term (a, e, c) adds row z from
+    q^low on into row z + a from q^(low+e) on, and only when low + e <= N.
+    A row is appended only when a term reaches it, so a quotient stops once
+    its rows' lowest terms pass q^N."""
     n = len(rows[0]) - 1
+    lows = [_lowest(row, n) for row in rows]
     for factor in factors:
-        reach = max((t[0] for t in factor), default=0)
         factor = [(a, e, -c if divide else c) for a, e, c in factor]
+        least = min((t[1] for t in factor), default=n + 1)
         z = 0 if divide else len(rows) - 1
         while 0 <= z < len(rows):
-            if not divide or any(rows[z]):  # a zero row appends none
-                rows.extend([0] * (n + 1) for _ in range(z + reach + 1 - len(rows)))
+            low = lows[z]
+            if low + least <= n:  # some term lands at or below q^N
+                source = rows[z][low:]
                 for a, e, c in factor:
-                    row = rows[z + a]
-                    row[e:] = [x + c * y for x, y in zip(row[e:], rows[z])]
+                    start = low + e
+                    if start <= n:
+                        if z + a >= len(rows):
+                            rows.extend([0] * (n + 1) for _ in range(z + a + 1 - len(rows)))
+                            lows.extend([n + 1] * (len(rows) - len(lows)))
+                        row = rows[z + a]
+                        if c == 1:
+                            row[start:] = map(add, row[start:], source)
+                        else:
+                            row[start:] = [x + c * y for x, y in zip(row[start:], source)]
+                        if start < lows[z + a]:
+                            lows[z + a] = start
             z += 1 if divide else -1
         while len(rows) > 1 and not any(rows[-1]):
             rows.pop()
+            lows.pop()
 
 
 class QSeries:
@@ -84,6 +109,8 @@ class QSeries:
     __slots__ = ("trunc", "coeffs")
 
     def __init__(self, coeffs, trunc=None):
+        if not hasattr(coeffs, "__iter__"):
+            raise ValueError(f"coefficients must be an iterable of ints, got {coeffs!r}")
         coeffs = list(coeffs)
         bad = [c for c in coeffs if type(c) is not int]
         if bad:
@@ -286,9 +313,10 @@ def gaussian_binomial(a: int, b: int, k: int, trunc=None) -> QSeries:
     coefficient i is placed at q^(k i): only every k-th coefficient can be
     nonzero, so k times fewer are stepped.
     """
+    _check_ints(a=a, b=b, k=k)
     if trunc is None:
         trunc = k * b * (a - b) if a >= b >= 0 else 0
-    _check_ints(a=a, b=b, k=k, trunc=trunc)
+    _check_ints(trunc=trunc)
     if k < 1:
         raise ValueError("k must be >= 1")
     if not a >= b >= 0:
@@ -342,6 +370,8 @@ class ZQPoly:
 
     def __init__(self, rows, trunc: int):
         _check_ints(trunc=trunc)
+        if not hasattr(rows, "__iter__"):
+            raise ValueError(f"rows must be an iterable of coefficient lists, got {rows!r}")
         rows = ZQPoly._make([QSeries(row, trunc).coeffs for row in rows], trunc).rows
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "rows", rows)

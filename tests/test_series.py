@@ -148,6 +148,74 @@ def test_z_factor_primitive_matches_zq_product():
             assert back == dividend
 
 
+def _whole_row_z_factors(rows, factors, divide=False):
+    """The z-row primitive with whole-row updates: each row read adds all of
+    itself into the rows its terms reach.  The oracle for the lowest-term
+    starts of ``_apply_z_factors``."""
+    n = len(rows[0]) - 1
+    for factor in factors:
+        reach = max((t[0] for t in factor), default=0)
+        factor = [(a, e, -c if divide else c) for a, e, c in factor]
+        z = 0 if divide else len(rows) - 1
+        while 0 <= z < len(rows):
+            if not divide or any(rows[z]):  # a zero row appends none
+                rows.extend([0] * (n + 1) for _ in range(z + reach + 1 - len(rows)))
+                for a, e, c in factor:
+                    row = rows[z + a]
+                    row[e:] = [x + c * y for x, y in zip(row[e:], rows[z])]
+            z += 1 if divide else -1
+        while len(rows) > 1 and not any(rows[-1]):
+            rows.pop()
+
+
+def _staggered_rows(rng, n):
+    """One to four z-rows of length n + 1, each all zero or nonzero only
+    from a random index on, so their lowest terms vary."""
+    rows = []
+    for _ in range(rng.randrange(1, 5)):
+        row = [0] * (n + 1)
+        if rng.random() < 0.75:
+            for i in range(rng.randrange(n + 1), n + 1):
+                row[i] = rng.choice((-2, -1, 0, 1, 3))
+        rows.append(row)
+    return rows
+
+
+def test_z_factor_kernel_matches_whole_row_oracle():
+    rng = random.Random(20261022)
+    seen = set()
+    for case in range(600):
+        n = rng.randrange(13)
+        divide = case % 3 != 0
+        factors = [
+            [(rng.randrange(1, 4), rng.randrange(1 if divide else 0, n + 3), rng.choice((1, -1, 2, -3)))
+             for _ in range(rng.randrange(1, 4))]
+            for _ in range(rng.randrange(4))
+        ]
+        rows = _staggered_rows(rng, n)
+        if case % 3 == 2:
+            # The dividend is a multiple of the divisors, so the quotient's
+            # rows above the multiplier's cancel to zero as it runs.
+            multiplier = [row[:] for row in rows]
+            _whole_row_z_factors(rows, factors)
+            if len(rows) > len(multiplier) and any(rows[-1]):
+                seen.add("cancel")
+        got, want = [row[:] for row in rows], [row[:] for row in rows]
+        _apply_z_factors(got, factors, divide)
+        _whole_row_z_factors(want, factors, divide)
+        assert got == want, (n, rows, factors, divide)
+        if case % 3 == 2:
+            while len(multiplier) > 1 and not any(multiplier[-1]):
+                multiplier.pop()
+            assert got == multiplier or not factors
+        seen.update(f"c={c}" for f in factors for _, _, c in f)
+        seen.update("e=0" for f in factors for _, e, _ in f if e == 0)
+        seen.update("leading zeros" for row in rows if row[0] == 0 and any(row))
+        seen.update("zero interior row" for row in rows[:-1] if not any(row))
+    assert seen == {"cancel", "c=1", "c=-1", "c=2", "c=-3", "e=0", "leading zeros",
+                    "zero interior row"}
+
+
 def test_quotient_errors():
     with pytest.raises(ValueError, match=r"constant term must be \+1 or -1 to invert"):
         QSeries.one(3) / QSeries([2, 1], 3)
@@ -438,6 +506,21 @@ def test_kernel_rejects_floats_and_bools():
     ]
     for call in calls:
         with pytest.raises(ValueError):
+            call()
+
+
+def test_kernel_checks_arguments_before_using_them():
+    # A missing argument or a bare int for a coefficient list is refused
+    # before any arithmetic or iteration touches it; none is coerced.
+    calls = [
+        lambda: gaussian_binomial(0, 0, None),
+        lambda: gaussian_binomial(None, 0, 1),
+        lambda: QSeries(0),
+        lambda: ZQPoly(0, 0),
+        lambda: ZQPoly([0], 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be an"):
             call()
 
 
